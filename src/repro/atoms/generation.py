@@ -23,14 +23,12 @@ from repro.atoms.atom import TileSize
 from repro.atoms.partition import grid_for
 from repro.config import EngineConfig
 from repro.engine.batch import region_bounds
-from repro.engine.cost_model import EngineCostModel
+from repro.engine.cost_model import Coeffs, EngineCostModel, TileMemo
 from repro.intmath import ceil_div
 from repro.ir.graph import Graph, Node
 from repro.ir.ops import Input, Region
 from repro.ir.tensor import TensorShape
 from repro.obs.tracer import get_tracer
-
-Coeffs = tuple[int, int, int, int]
 
 
 @dataclass(frozen=True)
@@ -290,28 +288,11 @@ class AtomGenerator:
         ]
         if not self._compute_nodes:
             raise ValueError("graph has no compute layers to partition")
-        self._bounds: dict[int, Coeffs] = {
-            n.node_id: self._coeff_bounds(n) for n in self._compute_nodes
-        }
-        self._ladders: dict[int, tuple[tuple[int, ...], ...]] = {
-            node_id: tuple(_ladder(b) for b in bounds)
-            for node_id, bounds in self._bounds.items()
-        }
-        # Per-layer coefficient lattices: coeffs -> (cycles, util) with the
-        # buffer-feasibility adjustment applied.  atom_cost(node, coeffs)
-        # is a pure function of its arguments, so entries never go stale;
-        # misses are priced through the vectorized cost kernel in batches.
-        self._cost_lattice: dict[int, dict[Coeffs, tuple[int, float]]] = {
-            n.node_id: {} for n in self._compute_nodes
-        }
-        # Axis-sweep memo: (axis, fixed-coeffs-without-axis) -> the ladder's
-        # (cycles, utils) arrays, so converged SA iterations skip even the
-        # per-candidate lattice lookups.
-        self._axis_memo: dict[int, dict[tuple, tuple[np.ndarray, np.ndarray]]] = {
-            n.node_id: {} for n in self._compute_nodes
-        }
-        self._count_cache: dict[int, dict[Coeffs, int]] = {
-            n.node_id: {} for n in self._compute_nodes
+        # Per-layer memo of pure values (bounds, ladders, the priced cost
+        # lattice, axis sweeps, atom counts), shared through the cost
+        # model with every other generator over the same engine design.
+        self._memos: dict[int, TileMemo] = {
+            n.node_id: self._layer_memo(n) for n in self._compute_nodes
         }
         self._hint: int | None = None
 
@@ -320,6 +301,19 @@ class AtomGenerator:
     @property
     def engine(self) -> EngineConfig:
         return self.cost_model.engine
+
+    def _layer_memo(self, node: Node) -> TileMemo:
+        """The cost model's memo for ``node``, keyed by layer content."""
+        in_shapes = self.graph.input_shapes(node.node_id)
+        key = (node.op, in_shapes, node.output_shape)
+        memos = self.cost_model.tile_memos
+        memo = memos.get(key)
+        if memo is None:
+            bounds = self._coeff_bounds(node)
+            memo = memos.setdefault(
+                key, TileMemo(bounds, tuple(_ladder(b) for b in bounds))
+            )
+        return memo
 
     def _coeff_bounds(self, node: Node) -> Coeffs:
         """Maximum useful value of each coefficient for one layer."""
@@ -370,7 +364,7 @@ class AtomGenerator:
 
     def atom_cost(self, node: Node, coeffs: Coeffs) -> tuple[int, float]:
         """(cycles, PE utilization) of one full-size atom of a layer."""
-        lattice = self._cost_lattice[node.node_id]
+        lattice = self._memos[node.node_id].lattice
         cached = lattice.get(coeffs)
         if cached is not None:
             self.cost_model.cache_hits += 1
@@ -392,11 +386,10 @@ class AtomGenerator:
         """Price a batch of coefficient lattice points in one kernel call.
 
         Applies the same buffer-feasibility adjustment as :meth:`atom_cost`
-        and fills the per-layer lattice; each priced point counts as one
+        and fills the layer's lattice; each priced point counts as one
         cost-cache miss so the trace accounting stays comparable with the
         scalar path.
         """
-        shape = node.output_shape
         in_shapes = self.graph.input_shapes(node.node_id)
         regions = [
             self._representative_region(node, self._tile(node, c))
@@ -411,28 +404,27 @@ class AtomGenerator:
         infeasible = footprint > buffer_bytes
         cycles = np.where(infeasible, _INFEASIBLE_CYCLES, arrays.cycles).tolist()
         utils = np.where(infeasible, 0.0, arrays.pe_utilization).tolist()
-        lattice = self._cost_lattice[node.node_id]
+        lattice = self._memos[node.node_id].lattice
         for coeffs, cyc, util in zip(coeff_list, cycles, utils):
             lattice[coeffs] = (cyc, util)
         self.cost_model.cache_misses += len(coeff_list)
 
     def _axis_costs(
         self, node: Node, k: int, best: Coeffs
-    ) -> tuple[np.ndarray, np.ndarray]:
-        """(cycles, utils) arrays over axis ``k``'s full candidate ladder.
+    ) -> tuple[tuple[int, ...], tuple[float, ...]]:
+        """(cycles, utils) over axis ``k``'s full candidate ladder.
 
         Candidates are ``best`` with coordinate ``k`` replaced by each
         ladder value; memoized on (axis, remaining coordinates).
         """
-        rest = best[:k] + best[k + 1:]
-        memo = self._axis_memo[node.node_id]
-        cached = memo.get((k, rest))
+        memo = self._memos[node.node_id]
+        key = (k, best[:k] + best[k + 1:])
+        cached = memo.axis.get(key)
         if cached is not None:
             self.cost_model.cache_hits += len(cached[0])
             return cached
-        ladder = self._ladders[node.node_id][k]
-        cands = [best[:k] + (v,) + best[k + 1:] for v in ladder]
-        lattice = self._cost_lattice[node.node_id]
+        cands = [best[:k] + (v,) + best[k + 1:] for v in memo.ladders[k]]
+        lattice = memo.lattice
         missing = [c for c in cands if c not in lattice]
         if missing:
             self._price_coeffs(node, list(dict.fromkeys(missing)))
@@ -441,10 +433,10 @@ class AtomGenerator:
             self.cost_model.cache_hits += len(cands)
         entries = [lattice[c] for c in cands]
         result = (
-            np.array([e[0] for e in entries], dtype=np.int64),
-            np.array([e[1] for e in entries], dtype=float),
+            tuple(e[0] for e in entries),
+            tuple(e[1] for e in entries),
         )
-        memo[(k, rest)] = result
+        memo.axis[key] = result
         return result
 
     def _fit_layer_to_state(self, node: Node, start: Coeffs, target: float) -> Coeffs:
@@ -457,39 +449,39 @@ class AtomGenerator:
         never "balances" a layer by picking an equally slow but inefficient
         tile (target 1 of Sec. IV-A: atoms must keep the array busy).
         """
-        ladders = self._ladders[node.node_id]
+        ladders = self._memos[node.node_id].ladders
         cycles0, util0 = self.atom_cost(node, start)
         best = start
         # One score is |cycles - S| plus the utilization penalty; the
         # (penalty * target) product is grouped exactly as the scalar
         # expression associated, keeping floats bit-identical.
-        best_gap = abs(cycles0 - target) + (_UTIL_PENALTY * target) * (
-            1.0 - util0
-        )
+        penalty = _UTIL_PENALTY * target
+        best_gap = abs(cycles0 - target) + penalty * (1.0 - util0)
+        since = None  # axis scans since the last improvement
         for _ in range(_FIT_SWEEPS):
             improved = False
             for k in range(4):
                 cycles, utils = self._axis_costs(node, k, best)
-                gaps = np.abs(cycles - target) + (_UTIL_PENALTY * target) * (
-                    1.0 - utils
+                j, best_gap = _best_on_axis(
+                    cycles, utils, target, penalty, best_gap
                 )
-                # The scalar sweep accepted on strict improvement in ladder
-                # order, which lands on the first index attaining the
-                # minimum — np.argmin's first-occurrence rule.  Candidates
-                # equal to the incumbent score exactly, so they never pass
-                # the strict comparison.
-                j = int(np.argmin(gaps))
-                gap = float(gaps[j])
-                if gap < best_gap:
+                if j >= 0:
                     best = best[:k] + (ladders[k][j],) + best[k + 1:]
-                    best_gap = gap
                     improved = True
+                    since = 0
+                elif since is not None:
+                    since += 1
+                    if since == 3:
+                        # Every axis sits at its first minimum given the
+                        # others, so the remaining scans would repeat
+                        # these with the same inputs and change nothing.
+                        return best
             if not improved:
                 break
         return best
 
     def _random_coeffs(self, node: Node) -> Coeffs:
-        bounds = self._bounds[node.node_id]
+        bounds = self._memos[node.node_id].bounds
         return tuple(int(self.rng.integers(1, b + 1)) for b in bounds)  # type: ignore
 
     def _even_coeffs(self, node: Node, parts: int) -> Coeffs:
@@ -509,7 +501,7 @@ class AtomGenerator:
             ci,
             max(1, ceil_div(shape.channels, gc)),
         )
-        bounds = self._bounds[node.node_id]
+        bounds = self._memos[node.node_id].bounds
         coeffs = []
         for k in range(4):
             # Smallest coefficient whose tile extent reaches the target.
@@ -554,7 +546,7 @@ class AtomGenerator:
 
     def _count_of(self, node: Node, coeffs: Coeffs) -> int:
         """Atoms the layer yields under ``coeffs`` (memoized grid count)."""
-        cache = self._count_cache[node.node_id]
+        cache = self._memos[node.node_id].counts
         count = cache.get(coeffs)
         if count is None:
             tile = self._tile(node, coeffs)
@@ -808,7 +800,7 @@ class AtomGenerator:
                 np.clip(
                     coeffs[k] + int(self.rng.integers(-2, 3)),
                     1,
-                    self._bounds[node.node_id][k],
+                    self._memos[node.node_id].bounds[k],
                 )
             )
             individual[node.node_id] = tuple(coeffs)  # type: ignore[assignment]
@@ -849,6 +841,32 @@ _PARALLELISM_PENALTY = 1.0
 #: Weight of the (1 - utilization) term in the per-layer fit distance,
 #: relative to the cycle-balance target.
 _UTIL_PENALTY = 0.75
+
+
+def _best_on_axis(
+    cycles: tuple[int, ...],
+    utils: tuple[float, ...],
+    target: float,
+    penalty: float,
+    best_gap: float,
+) -> tuple[int, float]:
+    """First ladder index with the lowest score, if it beats ``best_gap``.
+
+    A candidate's score is ``|cycles - target| + penalty * (1 - util)``.
+    Accepting strict improvements in ladder order lands on the first
+    index attaining the minimum (``np.argmin``'s rule), and a candidate
+    equal to the incumbent's score never passes.  Returns ``(-1,
+    best_gap)`` when nothing improves.  Ladders hold about a dozen values
+    (13 on ResNet-50, 22 at the 4096 coefficient cap), so this scalar scan
+    beats NumPy's per-call overhead.
+    """
+    j = -1
+    for i, c in enumerate(cycles):
+        gap = abs(c - target) + penalty * (1.0 - utils[i])
+        if gap < best_gap:
+            best_gap = gap
+            j = i
+    return j, best_gap
 
 
 def _ladder(bound: int) -> tuple[int, ...]:

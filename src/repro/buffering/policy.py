@@ -59,10 +59,13 @@ class BufferPolicy:
             rounds = sorted(self.atom_round[s] for s in dag.succs[a])
             if rounds:
                 self._consumer_rounds[a] = rounds
+        #: Atom -> its weight slice (``AtomicDAG.weight_key``), or None.
+        self.weight_keys: list[tuple[int, int] | None] = [
+            dag.weight_key(a) for a in range(dag.num_atoms)
+        ]
         # Weight key -> sorted Rounds in which an atom needing it executes.
         self._weight_rounds: dict[tuple[int, int], list[int]] = {}
-        for a in range(dag.num_atoms):
-            wk = dag.weight_key(a)
+        for a, wk in enumerate(self.weight_keys):
             if wk is not None:
                 self._weight_rounds.setdefault(wk, []).append(self.atom_round[a])
         for rounds in self._weight_rounds.values():

@@ -16,10 +16,14 @@ not reach the array dimensions strands PEs).
 :class:`EngineCostModel` is the memoizing *scalar view*: single-region
 queries delegate to :class:`~repro.engine.batch.CostKernel`, which also
 prices whole region batches (coefficient ladders, tile lattices) in one
-vectorized call for the search hot paths.
+vectorized call for the search hot paths.  It also carries the SA tiling
+memo (:class:`TileMemo`), so every annealing chain over one engine
+design shares one table of priced tile-lattice points.
 """
 
 from __future__ import annotations
+
+from dataclasses import dataclass, field
 
 from repro.config import EngineConfig
 from repro.engine.batch import CostKernel, EngineCost
@@ -27,7 +31,41 @@ from repro.engine.dataflow import Dataflow
 from repro.ir.ops import Op, Region
 from repro.ir.tensor import TensorShape
 
-__all__ = ["EngineCost", "EngineCostModel"]
+__all__ = ["EngineCost", "EngineCostModel", "TileMemo"]
+
+Coeffs = tuple[int, int, int, int]
+
+
+@dataclass
+class TileMemo:
+    """Memoized SA tiling values of one layer on one engine design.
+
+    Every entry is a pure function of the layer's content (operator,
+    input shapes, output shape) and the engine, so entries never go
+    stale and every chain — restarts, tempering rungs and segments,
+    warm service sessions, repeated layers — can share them.  Values are
+    immutable tuples of ints and floats, which the cyclic GC untracks,
+    so a long-lived warm context does not slow its collections down.
+    Concurrent writers store equal values, so a race can price a point
+    twice but never change an answer.
+
+    Attributes:
+        bounds: Maximum useful value of each tile coefficient.
+        ladders: Geometric candidate values of each coefficient.
+        lattice: Coefficients -> ``(cycles, pe_utilization)`` of one
+            full-size atom, with the buffer-feasibility adjustment.
+        axis: ``(axis, other coefficients)`` -> ``(cycles, utils)``
+            tuples over that axis's whole ladder.
+        counts: Coefficients -> atoms the layer yields.
+    """
+
+    bounds: Coeffs
+    ladders: tuple[tuple[int, ...], ...]
+    lattice: dict[Coeffs, tuple[int, float]] = field(default_factory=dict)
+    axis: dict[tuple, tuple[tuple[int, ...], tuple[float, ...]]] = field(
+        default_factory=dict
+    )
+    counts: dict[Coeffs, int] = field(default_factory=dict)
 
 
 class EngineCostModel:
@@ -36,7 +74,9 @@ class EngineCostModel:
     A thin memoizing view over the structure-of-arrays
     :class:`~repro.engine.batch.CostKernel`: scalar queries land in a
     per-``(op, in_shapes, region)`` cache; batch consumers reach the
-    vectorized kernel through :attr:`kernel`.
+    vectorized kernel through :attr:`kernel`; the SA tiling search keeps
+    its per-layer :class:`TileMemo` in :attr:`tile_memos`, keyed by
+    ``(op, in_shapes, output_shape)``.
 
     Args:
         engine: The engine microarchitecture.
@@ -61,6 +101,7 @@ class EngineCostModel:
             engine, dataflow, bytes_per_element, self.vector_lanes
         )
         self._cache: dict[tuple, EngineCost] = {}
+        self.tile_memos: dict[tuple, TileMemo] = {}
         self.cache_hits = 0
         self.cache_misses = 0
 

@@ -30,19 +30,23 @@ class EngineBuffer:
     capacity_bytes: int
     engine_index: int = 0
     _entries: dict[Hashable, int] = field(default_factory=dict, repr=False)
+    #: Running sum of ``_entries`` sizes, kept by every mutator so the
+    #: simulator's per-atom ``fits`` checks never re-sum the entries.
+    _used: int = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
         if self.capacity_bytes <= 0:
             raise ValueError("capacity_bytes must be positive")
+        self._used = sum(self._entries.values())
 
     @property
     def used_bytes(self) -> int:
         """Bytes currently occupied."""
-        return sum(self._entries.values())
+        return self._used
 
     @property
     def free_bytes(self) -> int:
-        return self.capacity_bytes - self.used_bytes
+        return self.capacity_bytes - self._used
 
     def contains(self, key: Hashable) -> bool:
         return key in self._entries
@@ -89,6 +93,7 @@ class EngineBuffer:
                 f"free {self.free_bytes} B"
             )
         self._entries[key] = size_bytes
+        self._used += delta
 
     def release(self, key: Hashable) -> int:
         """Remove an entry and return its size.
@@ -96,15 +101,20 @@ class EngineBuffer:
         Raises:
             KeyError: When the entry is absent.
         """
-        return self._entries.pop(key)
+        size = self._entries.pop(key)
+        self._used -= size
+        return size
 
     def release_if_present(self, key: Hashable) -> int:
         """Remove an entry if stored; returns freed bytes (0 if absent)."""
-        return self._entries.pop(key, 0)
+        size = self._entries.pop(key, 0)
+        self._used -= size
+        return size
 
     def clear(self) -> None:
         """Drop all entries."""
         self._entries.clear()
+        self._used = 0
 
 
 def make_buffers(num_engines: int, capacity_bytes: int) -> list[EngineBuffer]:

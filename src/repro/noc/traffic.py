@@ -13,6 +13,7 @@ from __future__ import annotations
 
 from collections import defaultdict
 from dataclasses import dataclass
+from typing import Sequence
 
 import numpy as np
 
@@ -103,30 +104,48 @@ class NocModel:
                 occupancy[link] += serialization
         return dict(occupancy)
 
-    def round_cost(self, transfers: list[Transfer]) -> NocRoundCost:
+    def round_cost(self, transfers: Sequence[Transfer]) -> NocRoundCost:
         """Delay and energy of a batch of transfers issued together.
 
         The batch's blocking delay is ``max(single-transfer latency,
         busiest-link occupancy)``: transfers on disjoint routes proceed in
         parallel, transfers sharing a link serialize.
-
-        Vectorized over the batch against the mesh's cached distance/route
-        tables; results are bit-identical to the per-transfer walk
-        (serialization keeps the original ``ceil`` of a float quotient, and
-        energy sums terms in transfer order).
         """
-        triples = [
-            (t.src, t.dst, t.size_bytes)
-            for t in transfers
-            if t.src != t.dst and t.size_bytes
-        ]
-        if not triples:
+        return self.round_cost_columns(
+            [t.src for t in transfers],
+            [t.dst for t in transfers],
+            [t.size_bytes for t in transfers],
+        )
+
+    def round_cost_columns(
+        self,
+        src: Sequence[int],
+        dst: Sequence[int],
+        size: Sequence[int],
+    ) -> NocRoundCost:
+        """:meth:`round_cost` over ``(src, dst, bytes)`` columns.
+
+        The columns hold one transfer per index, in issue order; the
+        simulator's analytical path hands them over without building a
+        :class:`Transfer` per movement.  Vectorized over the batch against
+        the mesh's cached distance/route tables; results are bit-identical
+        to the per-transfer walk (serialization keeps the original
+        ``ceil`` of a float quotient, and energy sums terms in transfer
+        order).
+
+        Raises:
+            ValueError: On a negative size.
+        """
+        cols = np.array((src, dst, size), dtype=np.int64).reshape(3, -1)
+        if (cols[2] < 0).any():
+            raise ValueError("size_bytes must be non-negative")
+        cols = cols[:, (cols[0] != cols[1]) & (cols[2] != 0)]
+        if not cols.shape[1]:
             return NocRoundCost(
                 cycles=0, energy_pj=0.0, total_hop_bits=0,
                 busiest_link_cycles=0,
             )
-        arr = np.asarray(triples, dtype=np.int64)
-        src, dst, size = arr[:, 0], arr[:, 1], arr[:, 2]
+        src, dst, size = cols
         dist = self.mesh.distance_array()
         hops = dist[src, dst]
         # static-ok: LINT012 -- link payloads sit far below 2**53, so float

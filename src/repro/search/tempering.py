@@ -235,22 +235,6 @@ class _SegmentOutcome:
     result: GenerationResult | None = None
 
 
-def _rung_generator(ctx: Any) -> AtomGenerator:
-    """The worker's cached generator for ``ctx`` (speed only: its cost
-    lattice memoizes pure values, so a cold cache changes nothing)."""
-    from repro.pipeline import _WORKER_STATE
-
-    cached = _WORKER_STATE.get("pt_generator")
-    if cached is not None and cached[0] is ctx:
-        return cached[1]
-    generator = AtomGenerator(
-        ctx.graph, ctx.cost_model, rng=np.random.default_rng(0)
-    )
-    # static-ok: LINT011 -- per-process memo of a pure-value lattice; a cold cache changes nothing
-    _WORKER_STATE["pt_generator"] = (ctx, generator)
-    return generator
-
-
 def _run_segment(attempt: int, item: _SegmentItem):
     """Task: advance one rung by one segment (init on segment 0)."""
     from repro.pipeline import _WORKER_STATE, _wrap_obs
@@ -263,7 +247,9 @@ def _run_segment(attempt: int, item: _SegmentItem):
         "executor.attempt", category="resilience",
         task=f"pt[{item.rung}]", attempt=attempt,
     ):
-        generator = _rung_generator(ctx)
+        generator = AtomGenerator(
+            ctx.graph, ctx.cost_model, rng=np.random.default_rng(0)
+        )
         with get_tracer().span(
             "sa.rung", category="sa",
             rung=item.rung, segment=item.segment, steps=item.steps,

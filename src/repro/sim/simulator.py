@@ -19,16 +19,19 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
+import numpy as np
+
 from repro.atoms.dag import AtomicDAG
+from repro.atoms.table import AtomCostTable
 from repro.buffering.policy import BufferPolicy, weight_entry_key
-from repro.config import ArchConfig
-from repro.engine.energy import atom_energy
+from repro.config import ArchConfig, EnergyConfig
+from repro.engine.energy import atom_energy_terms
 from repro.memory.buffer import EngineBuffer, make_buffers
 from repro.memory.hbm import HbmModel
 from repro.metrics import EnergyBreakdown, RunResult
 from repro.noc.mesh import Mesh2D
 from repro.noc.torus import make_topology
-from repro.noc.traffic import NocModel, Transfer
+from repro.noc.traffic import NocModel, NocRoundCost, Transfer
 from repro.noc.wormhole import WormholeSimulator
 from repro.obs.tracer import get_tracer
 from repro.scheduling.rounds import Schedule
@@ -86,10 +89,15 @@ class RoundTrace:
 
 @dataclass
 class _RoundIO:
-    """Accumulated I/O of one Round, split by overlap class."""
+    """Accumulated I/O of one Round, split by overlap class.
 
-    blocking_transfers: list[Transfer] = field(default_factory=list)
-    prefetch_transfers: list[Transfer] = field(default_factory=list)
+    NoC movements are ``(src, dst, bytes)`` rows in issue order; the
+    analytical path prices them as columns, and :class:`Transfer` objects
+    are built only for the wormhole model and timelines.
+    """
+
+    blocking_transfers: list[tuple[int, int, int]] = field(default_factory=list)
+    prefetch_transfers: list[tuple[int, int, int]] = field(default_factory=list)
     blocking_dram_bytes: int = 0
     blocking_dram_requests: int = 0
     prefetch_dram_bytes: int = 0
@@ -97,6 +105,31 @@ class _RoundIO:
     writeback_bytes: int = 0
     onchip_bytes: int = 0
     offchip_bytes: int = 0
+
+
+@dataclass
+class _SimState:
+    """Mutable machine state of one simulation, shared by the helpers.
+
+    ``atom_location`` and ``weight_locations`` mirror the buffers exactly:
+    entries are added on every store and dropped on every eviction, so a
+    location lookup replaces a buffer-membership check per edge.
+    """
+
+    atom_round: dict[int, int]
+    buffers: list[EngineBuffer]
+    policy: BufferPolicy
+    distance_to: tuple[tuple[int, ...], ...]
+    weight_limit: int
+    atom_location: dict[int, int] = field(default_factory=dict)
+    weight_locations: dict[tuple[int, int], set[int]] = field(
+        default_factory=dict
+    )
+
+
+def _transfer_objects(rows: list[tuple[int, int, int]]) -> list[Transfer]:
+    """:class:`Transfer` objects for the consumers that walk them."""
+    return [Transfer(src, dst, size) for src, dst, size in rows]
 
 
 class SystemSimulator:
@@ -136,11 +169,20 @@ class SystemSimulator:
             else None
         )
 
-    def _noc_cycles(self, transfers: list[Transfer]) -> int:
-        """Round NoC delay under the selected fidelity model."""
-        if self._wormhole is not None and transfers:
-            return self._wormhole.simulate(transfers).makespan
-        return self.noc.round_cost(transfers).cycles
+    def _noc_cost(
+        self, rows: list[tuple[int, int, int]]
+    ) -> tuple[NocRoundCost, int]:
+        """Analytical cost of one transfer class and its Round NoC delay.
+
+        The delay comes from the selected fidelity model; the analytical
+        cost always supplies energy and hop volume.
+        """
+        cost = self.noc.round_cost_columns(*zip(*rows)) if rows else _NO_NOC
+        if self._wormhole is not None and rows:
+            return cost, self._wormhole.simulate(
+                _transfer_objects(rows)
+            ).makespan
+        return cost, cost.cycles
 
     def run(self, schedule: Schedule, placement: dict[int, int]) -> RunResult:
         """Execute the schedule and return the full metric set.
@@ -207,11 +249,17 @@ class SystemSimulator:
         policy = BufferPolicy(dag, schedule)
         buffers = make_buffers(arch.num_engines, arch.engine.buffer_bytes)
         hbm = HbmModel(arch.hbm, arch.energy, arch.engine.frequency_hz)
-        atom_round = schedule.atom_round()
-
-        atom_location: dict[int, int] = {}
-        weight_locations: dict[tuple[int, int], set[int]] = {}
-        weight_limit = arch.engine.buffer_bytes // WEIGHT_RESIDENCY_FRACTION
+        table = _cost_table(dag)
+        atom_mac_pj, atom_sram_pj = _atom_energies(table, arch.energy)
+        state = _SimState(
+            atom_round=policy.atom_round,
+            buffers=buffers,
+            policy=policy,
+            # Transposed, so ``distance_to[engine][h]`` is
+            # ``hop_distance(h, engine)`` on any topology.
+            distance_to=tuple(zip(*self.mesh.distance_matrix())),
+            weight_limit=arch.engine.buffer_bytes // WEIGHT_RESIDENCY_FRACTION,
+        )
 
         total_cycles = 0
         compute_cycles_total = 0
@@ -232,6 +280,8 @@ class SystemSimulator:
         tl_hbm: list[HbmSample] = []
         tracer = get_tracer()
         atom_cycles = dag.atom_cycles
+        macs = table.macs
+        uses_pe_array = table.uses_pe_array
 
         for rnd in schedule.rounds:
             with tracer.span(
@@ -244,36 +294,20 @@ class SystemSimulator:
                 t = rnd.index
                 for a in rnd.atom_indices:
                     engine = placement[a]
-                    self._gather_inputs(
-                        a, engine, t, atom_round, atom_location, buffers, io
-                    )
-                    self._gather_weights(
-                        a, engine, weight_locations, buffers, weight_limit,
-                        io, policy, t,
-                    )
-                    self._store_output(
-                        a, engine, buffers, policy, t, atom_location,
-                        weight_locations, io,
-                    )
-                    cost = dag.costs[a]
-                    e = atom_energy(cost, arch.energy)
-                    mac_energy_pj += e.mac_pj
-                    sram_energy_pj += e.sram_pj
-                    if cost.uses_pe_array:
-                        total_macs_pe += cost.macs
+                    self._gather_inputs(a, engine, t, state, io)
+                    self._gather_weights(a, engine, t, state, io)
+                    self._store_output(a, engine, t, state, io)
+                    mac_energy_pj += atom_mac_pj[a]
+                    sram_energy_pj += atom_sram_pj[a]
+                    if uses_pe_array[a]:
+                        total_macs_pe += macs[a]
 
                 compute = max(atom_cycles[a] for a in rnd.atom_indices)
-                blocking_noc = self.noc.round_cost(io.blocking_transfers)
-                prefetch_noc = self.noc.round_cost(io.prefetch_transfers)
-                blocking_noc_cycles = (
-                    self._noc_cycles(io.blocking_transfers)
-                    if self._wormhole is not None
-                    else blocking_noc.cycles
+                blocking_noc, blocking_noc_cycles = self._noc_cost(
+                    io.blocking_transfers
                 )
-                prefetch_noc_cycles = (
-                    self._noc_cycles(io.prefetch_transfers)
-                    if self._wormhole is not None
-                    else prefetch_noc.cycles
+                prefetch_noc, prefetch_noc_cycles = self._noc_cost(
+                    io.prefetch_transfers
                 )
                 blocking_dram = hbm.batch_cycles(
                     io.blocking_dram_bytes, io.blocking_dram_requests
@@ -303,7 +337,7 @@ class SystemSimulator:
                     )
                 if collect_timeline:
                     self._collect_round_timeline(
-                        rnd, placement, io, total_cycles, compute,
+                        rnd, placement, table, io, total_cycles, compute,
                         blocking_noc_cycles, blocking_dram,
                         prefetch_noc_cycles, prefetch_dram, round_time, hbm,
                         tl_rounds, tl_intervals, tl_links, tl_hbm,
@@ -381,6 +415,7 @@ class SystemSimulator:
         self,
         rnd,
         placement: dict[int, int],
+        table: AtomCostTable,
         io: _RoundIO,
         round_start: int,
         compute: int,
@@ -416,7 +451,6 @@ class SystemSimulator:
             )
         )
         for a in rnd.atom_indices:
-            cost = dag.costs[a]
             tl_intervals.append(
                 EngineInterval(
                     engine=placement[a],
@@ -424,13 +458,13 @@ class SystemSimulator:
                     atom=a,
                     label=str(dag.atoms[a].atom_id),
                     start=round_start + stall,
-                    duration=cost.cycles,
-                    macs=cost.macs,
-                    uses_pe_array=cost.uses_pe_array,
+                    duration=table.cycles[a],
+                    macs=table.macs[a],
+                    uses_pe_array=table.uses_pe_array[a],
                 )
             )
         occupancy = self.noc.link_occupancy(
-            io.blocking_transfers + io.prefetch_transfers
+            _transfer_objects(io.blocking_transfers + io.prefetch_transfers)
         )
         for (src, dst), busy in sorted(occupancy.items()):
             tl_links.append(LinkSample(rnd.index, src, dst, busy))
@@ -453,14 +487,7 @@ class SystemSimulator:
     # ------------------------------------------------------------- internals
 
     def _gather_inputs(
-        self,
-        a: int,
-        engine: int,
-        t: int,
-        atom_round: dict[int, int],
-        atom_location: dict[int, int],
-        buffers: list[EngineBuffer],
-        io: _RoundIO,
+        self, a: int, engine: int, t: int, state: _SimState, io: _RoundIO
     ) -> None:
         """Resolve where each input tile comes from and charge the movement.
 
@@ -473,22 +500,25 @@ class SystemSimulator:
         if dag.dram_input_bytes[a]:
             io.prefetch_dram_bytes += dag.dram_input_bytes[a]
             io.prefetch_dram_requests += 1
+        edge_bytes = dag.edge_bytes
+        atom_round = state.atom_round
+        atom_location = state.atom_location
+        onchip = offchip = 0
         for p in dag.preds[a]:
-            nbytes = dag.edge_bytes[(p, a)]
+            nbytes = edge_bytes[(p, a)]
             if nbytes == 0:
                 continue
             blocking = atom_round[p] == t - 1
+            # atom_location mirrors the buffers: a hit is still on-chip.
             loc = atom_location.get(p)
-            if loc is not None and buffers[loc].contains(p):
+            if loc is not None:
+                onchip += nbytes
                 if loc == engine:
-                    io.onchip_bytes += nbytes
                     continue
-                transfer = Transfer(src=loc, dst=engine, size_bytes=nbytes, tag=str(p))
                 if blocking:
-                    io.blocking_transfers.append(transfer)
+                    io.blocking_transfers.append((loc, engine, nbytes))
                 else:
-                    io.prefetch_transfers.append(transfer)
-                io.onchip_bytes += nbytes
+                    io.prefetch_transfers.append((loc, engine, nbytes))
             else:
                 # Spilled to DRAM earlier; read it back.
                 if blocking:
@@ -497,95 +527,109 @@ class SystemSimulator:
                 else:
                     io.prefetch_dram_bytes += nbytes
                     io.prefetch_dram_requests += 1
-                io.offchip_bytes += nbytes
+                offchip += nbytes
+        io.onchip_bytes += onchip
+        io.offchip_bytes += offchip
 
     def _gather_weights(
-        self,
-        a: int,
-        engine: int,
-        weight_locations: dict[tuple[int, int], set[int]],
-        buffers: list[EngineBuffer],
-        weight_limit: int,
-        io: _RoundIO,
-        policy: BufferPolicy,
-        t: int,
+        self, a: int, engine: int, t: int, state: _SimState, io: _RoundIO
     ) -> None:
         """Source the atom's weight slice: local hit, remote copy, or DRAM."""
-        dag = self.dag
-        wk = dag.weight_key(a)
+        wk = state.policy.weight_keys[a]
         if wk is None:
             return
-        nbytes = dag.atom_weight_bytes[a]
-        key = weight_entry_key(*wk)
-        holders = weight_locations.get(wk, set())
-        if engine in holders and buffers[engine].contains(key):
+        nbytes = self.dag.atom_weight_bytes[a]
+        # weight_locations mirrors the buffers: every holder is live.
+        holders = state.weight_locations.get(wk)
+        if holders and engine in holders:
             io.onchip_bytes += nbytes
             return
-        live_holders = [h for h in sorted(holders) if buffers[h].contains(key)]
-        if live_holders:
-            src = min(
-                live_holders, key=lambda h: self.mesh.hop_distance(h, engine)
-            )
-            io.prefetch_transfers.append(
-                Transfer(src=src, dst=engine, size_bytes=nbytes, tag=f"w{wk}")
-            )
+        if holders:
+            # The nearest holder; ties keep the lowest engine index.
+            distance = state.distance_to[engine]
+            src = min(sorted(holders), key=distance.__getitem__)
+            io.prefetch_transfers.append((src, engine, nbytes))
             io.onchip_bytes += nbytes
         else:
             io.prefetch_dram_bytes += nbytes
             io.prefetch_dram_requests += 1
             io.offchip_bytes += nbytes
-        if nbytes <= weight_limit:
-            evs = policy.make_room(buffers[engine], nbytes, t)
-            self._apply_evictions(evs, engine, weight_locations, io)
-            if buffers[engine].fits(nbytes):
-                buffers[engine].store(key, nbytes)
-                weight_locations.setdefault(wk, set()).add(engine)
+        if nbytes <= state.weight_limit:
+            buffer = state.buffers[engine]
+            evs = state.policy.make_room(buffer, nbytes, t)
+            self._apply_evictions(evs, engine, state, io)
+            if buffer.fits(nbytes):
+                buffer.store(weight_entry_key(*wk), nbytes)
+                state.weight_locations.setdefault(wk, set()).add(engine)
 
     def _store_output(
-        self,
-        a: int,
-        engine: int,
-        buffers: list[EngineBuffer],
-        policy: BufferPolicy,
-        t: int,
-        atom_location: dict[int, int],
-        weight_locations: dict[tuple[int, int], set[int]],
-        io: _RoundIO,
+        self, a: int, engine: int, t: int, state: _SimState, io: _RoundIO
     ) -> None:
         """Retain the atom's output on-chip, or drain results to DRAM."""
         dag = self.dag
         nbytes = dag.atom_ofmap_bytes[a]
         if nbytes == 0:
             return
-        if not dag.succs[a]:
-            # Network output: drained off-chip, never buffered.
+        buffer = state.buffers[engine]
+        if not dag.succs[a] or nbytes > buffer.capacity_bytes:
+            # Network output (drained off-chip, never buffered) or a tile
+            # larger than the whole buffer: stream straight to DRAM.
             io.writeback_bytes += nbytes
             return
-        if nbytes > buffers[engine].capacity_bytes:
-            # Tile larger than the whole buffer: stream straight to DRAM.
-            io.writeback_bytes += nbytes
-            return
-        evs = policy.make_room(buffers[engine], nbytes, t + 1)
-        self._apply_evictions(evs, engine, weight_locations, io)
-        if buffers[engine].fits(nbytes):
-            buffers[engine].store(a, nbytes)
-            atom_location[a] = engine
+        evs = state.policy.make_room(buffer, nbytes, t + 1)
+        self._apply_evictions(evs, engine, state, io)
+        if buffer.fits(nbytes):
+            buffer.store(a, nbytes)
+            state.atom_location[a] = engine
         else:
             # Even a fully drained buffer cannot hold it: spill immediately.
             io.writeback_bytes += nbytes
 
+    @staticmethod
     def _apply_evictions(
-        self,
-        evictions,
-        engine: int,
-        weight_locations: dict[tuple[int, int], set[int]],
-        io: _RoundIO,
+        evictions, engine: int, state: _SimState, io: _RoundIO
     ) -> None:
+        """Charge write-backs and forget evicted entries' locations."""
         for ev in evictions:
             io.writeback_bytes += ev.writeback_bytes
-            if (
-                isinstance(ev.key, tuple)
-                and len(ev.key) == 3
-                and ev.key[0] == "w"
-            ):
-                weight_locations.get((ev.key[1], ev.key[2]), set()).discard(engine)
+            key = ev.key
+            if isinstance(key, tuple) and len(key) == 3 and key[0] == "w":
+                state.weight_locations.get((key[1], key[2]), set()).discard(
+                    engine
+                )
+            else:
+                state.atom_location.pop(key, None)
+
+
+def _cost_table(dag: AtomicDAG) -> AtomCostTable:
+    """The DAG's per-atom cost columns (hand-built DAGs hold plain lists)."""
+    if isinstance(dag.costs, AtomCostTable):
+        return dag.costs
+    table = AtomCostTable()
+    for cost in dag.costs:
+        table.append(cost)
+    return table
+
+
+def _atom_energies(
+    table: AtomCostTable, energy: EnergyConfig
+) -> tuple[list[float], list[float]]:
+    """Per-atom ``(mac_pj, sram_pj)`` lists, priced column by column."""
+    mac_pj, sram_pj = atom_energy_terms(
+        *(
+            np.asarray(column, dtype=np.int64)
+            for column in (
+                table.macs,
+                table.ifmap_bytes,
+                table.weight_bytes,
+                table.ofmap_bytes,
+            )
+        ),
+        energy,
+    )
+    return mac_pj.tolist(), sram_pj.tolist()
+
+
+_NO_NOC = NocRoundCost(
+    cycles=0, energy_pj=0.0, total_hop_bits=0, busiest_link_cycles=0
+)

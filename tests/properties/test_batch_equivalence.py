@@ -132,7 +132,7 @@ def _make_generator(df: str, seed: int) -> AtomGenerator:
 
 def _reference_fit(gen, node, start, target):
     """The pre-vectorization scalar sweep: ladder order, strict-< accept."""
-    ladders = gen._ladders[node.node_id]
+    ladders = gen._memos[node.node_id].ladders
     cycles0, util0 = gen.atom_cost(node, start)
     best = start
     best_gap = abs(cycles0 - target) + (_UTIL_PENALTY * target) * (1.0 - util0)

@@ -1,0 +1,178 @@
+"""Pinned digests of everything the system simulator reports.
+
+The simulator's inner loop is tuned for speed — transfers travel as
+``(src, dst, bytes)`` columns, buffers keep running occupancy totals,
+weight holders come from the mesh's distance table — and none of that may
+move a single reported number.  Each case below pins sha256 digests of the
+:class:`~repro.metrics.RunResult` (float energies included), the
+``run_traced`` Round traces, and the ``run_timeline`` timeline; a change
+that alters any of them must re-record the digests deliberately.
+
+Cases cover the default 8x8 mesh, a 2x2 torus, an engine buffer only as
+large as the biggest atom output (about half the Rounds evict), and the
+wormhole NoC model, each on two batch-2 zoo models.
+"""
+
+from __future__ import annotations
+
+import dataclasses
+import functools
+import hashlib
+import json
+from dataclasses import replace
+from types import SimpleNamespace
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from repro.atoms.generation import layer_sequential_tiling
+from repro.config import DEFAULT_ARCH
+from repro.memory import EngineBuffer
+from repro.models import get_model
+from repro.noc import Mesh2D
+from repro.noc.traffic import NocModel
+from repro.pipeline import SearchContext, TransferCostMappingStage
+from repro.scheduling import schedule_greedy
+
+#: (model, case) -> (RunResult, RoundTraces, SimTimeline) digests.
+DIGESTS = {
+    ("resnet50_bench", "mesh8x8"): (
+        "89ec6d2162179419dbc9c4141a24fc83f6c49b3717605bfc7dd077c1aae3fca7",
+        "64febae638ec60cc72c39838178d2d11aec5a7d1bdd33e2bf62c4d1e02a134fa",
+        "819297bbfea926fb78787acafcb71ee9dbc8cbc6ba734da59751501506c9212f",
+    ),
+    ("resnet50_bench", "torus2x2"): (
+        "efe33de7b35bb1770eac98ffd708a98555f8595a97b2aad8e345bf6da0d3ea54",
+        "f770e9fec6fc56906ebebe64435775d51369d30971ed39e96125a7a95a92b090",
+        "07785de14c64ba7f2cc3b99b6b12b5c5ebff2ddf942aae801a58ed25450fd1b1",
+    ),
+    ("resnet50_bench", "tinybuf"): (
+        "ff408cf45093f200b8971cbc26ee8766a5469641f1494befbc23797b42b7d917",
+        "73a9fa6d6e1a85707c192d7c05fe7d2991ab2e3e4248f4a07e4e37f7e8f566ea",
+        "a675cddbb1c3feb54a1c4e839ac85dd92e8f96a849df8960f58c1bb97fabc220",
+    ),
+    ("resnet50_bench", "wormhole"): (
+        "238f7d474ecf9af32c6182d58e6d4094bc9aed3582c51dc3f588a0f11a89e02b",
+        "a6fdfabb43b709784db9f296b2acd119e02040ff1d9c4a801ebda8d6bf3bbb83",
+        "c80935dd2b7b76751617783972b2966ac0a95a52f19a7ba7d461dcf756a36cac",
+    ),
+    ("nasnet_bench", "mesh8x8"): (
+        "835e2722709786beec4203f3ec80860f8f9417eec4463e61dd727ec89bd50737",
+        "34b4b56d974425cf96bdf81efafee1361f266422615847d3736695760a94ec77",
+        "56b9e8c8c895167a2a5f1934183696ee418c674538df6e755137ee3027099ab2",
+    ),
+    ("nasnet_bench", "torus2x2"): (
+        "031dfcbd401e172918b0c3c011d5f2c29619e0dde332adb16b0fa2dfd4087dfc",
+        "067ca90f54bc76e3b7da1264a4e1a24fc5d5f470b51f8293efd340dcfe853a22",
+        "9a686a490311059aa6b6c2657c7db83c166bd35d85830d24f626baf9064877c6",
+    ),
+    ("nasnet_bench", "tinybuf"): (
+        "5719d9029daab2b8fe489bc86618b54cb73edaa51046a99aac960dfebe1c4192",
+        "0fdb8e6fba4c14fe94aeb792a623612200afec743b29c5cebfc8d0818676b428",
+        "3f6578725d542b0f4d2fb26a9419642cd7eb364d75395608f2f4d1381a764da6",
+    ),
+    ("nasnet_bench", "wormhole"): (
+        "72edabf1ec75fbd73da4da4e81a588fda3ab4c55baa897803a53afebeb86997d",
+        "31d5e51e3f26fcf2e63f1b988afdf5ef4bd71efa9d4eeeb58a6ebfffc6406356",
+        "1a920a97ef24105ccd48857e527df99b4b33b0e343520ea7f787498395f40fab",
+    ),
+}
+
+
+def _digest(doc) -> str:
+    return hashlib.sha256(json.dumps(doc, sort_keys=True).encode()).hexdigest()
+
+
+@functools.lru_cache(maxsize=2)
+def _solution(model: str, torus: bool):
+    """A batch-2 even-split solution on the 8x8 mesh or a 2x2 torus."""
+    arch = DEFAULT_ARCH
+    if torus:
+        arch = replace(
+            arch.with_mesh(2, 2), noc=replace(arch.noc, topology="torus")
+        )
+    ctx = SearchContext.create(get_model(model), arch, batch=2)
+    dag = ctx.build_dag(layer_sequential_tiling(ctx.graph, ctx.num_engines))
+    schedule = schedule_greedy(dag, ctx.num_engines)
+    placement = TransferCostMappingStage().run(ctx, dag, schedule)
+    return ctx, dag, schedule, placement
+
+
+def _case(model: str, case: str):
+    """One case's simulator, schedule and placement."""
+    ctx, dag, schedule, placement = _solution(model, case == "torus2x2")
+    if case == "tinybuf":
+        arch = ctx.arch
+        engine = replace(arch.engine, buffer_bytes=max(dag.atom_ofmap_bytes))
+        ctx = replace(ctx, arch=replace(arch, engine=engine))
+    noc_mode = "wormhole" if case == "wormhole" else "analytical"
+    return ctx.simulator(dag, noc_mode=noc_mode), schedule, placement
+
+
+@pytest.mark.parametrize("model,case", sorted(DIGESTS))
+def test_simulation_matches_pinned_digests(model, case):
+    sim, schedule, placement = _case(model, case)
+    result = sim.run(schedule, placement)
+    traced, traces = sim.run_traced(schedule, placement)
+    timed, timeline = sim.run_timeline(schedule, placement)
+    assert traced == result and timed == result
+    assert (
+        _digest(result.to_dict()),
+        _digest([dataclasses.astuple(t) for t in traces]),
+        _digest(timeline.to_dict()),
+    ) == DIGESTS[(model, case)]
+
+
+class TestBufferOccupancy:
+    @given(
+        st.lists(
+            st.tuples(
+                st.sampled_from(
+                    ["store", "release", "release_if_present", "clear"]
+                ),
+                st.integers(0, 12),
+                st.integers(1, 400),
+            ),
+            max_size=60,
+        )
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_running_total_equals_sum_of_entries(self, ops):
+        buf = EngineBuffer(capacity_bytes=1000)
+        for op, key, size in ops:
+            try:
+                if op == "store":
+                    buf.store(key, size)
+                elif op == "release":
+                    buf.release(key)
+                elif op == "release_if_present":
+                    buf.release_if_present(key)
+                else:
+                    buf.clear()
+            except (KeyError, ValueError, RuntimeError):
+                pass  # rejected operations must leave the total intact
+            stored = sum(buf.size_of(k) for k in buf.keys())
+            assert buf.used_bytes == stored
+            assert buf.free_bytes == buf.capacity_bytes - stored
+            assert buf.fits(size) == (size <= buf.capacity_bytes - stored)
+
+
+class TestRoundCostSizeCheck:
+    @pytest.fixture
+    def noc(self):
+        return NocModel(Mesh2D(4, 4), DEFAULT_ARCH.noc, DEFAULT_ARCH.energy)
+
+    def test_round_cost_rejects_a_negative_size(self, noc):
+        # Transfer validates its own size, so hand round_cost a look-alike
+        # that skipped that check: the batch check must still catch it.
+        bad = SimpleNamespace(src=0, dst=1, size_bytes=-1)
+        with pytest.raises(ValueError, match="non-negative"):
+            noc.round_cost([bad])
+
+    def test_columns_reject_a_negative_size(self, noc):
+        with pytest.raises(ValueError, match="non-negative"):
+            noc.round_cost_columns([0, 2], [1, 3], [64, -8])
+        # Local and empty movements are dropped only after the check.
+        with pytest.raises(ValueError, match="non-negative"):
+            noc.round_cost_columns([5], [5], [-1])
