@@ -21,11 +21,11 @@ its traces.  Three rules guard them:
 
 from __future__ import annotations
 
-import json
 import re
 from pathlib import Path
 
 from repro.analysis.diagnostics import Report, Severity, register_rule
+from repro.journal import read_lines
 from repro.resilience.checkpoint import CHECKPOINT_FORMAT, CHECKPOINT_VERSION
 
 register_rule(
@@ -134,7 +134,7 @@ def check_checkpoint_journal(
     report.mark_checked(f"CheckpointJournal({path.name})")
 
     try:
-        lines = path.read_text(encoding="utf-8").splitlines()
+        lines = read_lines(path)
     except OSError as exc:
         report.emit("AD601", str(path), f"unreadable journal: {exc}")
         return report
@@ -142,14 +142,7 @@ def check_checkpoint_journal(
         report.emit("AD601", str(path), "empty journal (missing header)")
         return report
 
-    def parse(line: str) -> dict | None:
-        try:
-            obj = json.loads(line)
-        except json.JSONDecodeError:
-            return None
-        return obj if isinstance(obj, dict) else None
-
-    header = parse(lines[0])
+    header = lines[0].obj
     if header is None:
         report.emit("AD601", f"{path.name}:1", "header is not a JSON object")
     else:
@@ -173,19 +166,18 @@ def check_checkpoint_journal(
             )
 
     seen: set[str] = set()
-    last = len(lines) - 1
-    for i, line in enumerate(lines[1:], start=1):
-        where = f"{path.name}:{i + 1}"
-        record = parse(line)
+    for line in lines[1:]:
+        where = f"{path.name}:{line.number}"
+        last = line is lines[-1]
+        record = line.obj
         if record is None:
-            # The torn final write of an interrupted run is expected; the
-            # journal loader drops it silently and so do we.
-            if i != last:
+            # The journal drops a bad last line like a torn tail; so do we.
+            if not last:
                 report.emit("AD601", where, "line is not a JSON object")
             continue
         label = record.get("label")
         if not isinstance(label, str) or not label:
-            if i != last:
+            if not last:
                 report.emit("AD601", where, "record has no candidate label")
             continue
         if label in seen:

@@ -47,6 +47,7 @@ from pathlib import Path
 from typing import Any, Mapping
 
 from repro.analysis.diagnostics import Report, Severity, register_rule
+from repro.journal import read_lines
 
 register_rule(
     "AD801",
@@ -258,7 +259,7 @@ def check_job_journal(
     from repro.service.jobs import _READABLE_VERSIONS, JOB_FORMAT, JobRecord
 
     try:
-        lines = path.read_text(encoding="utf-8").splitlines()
+        lines = read_lines(path)
     except OSError as exc:
         report.emit("AD802", str(path), f"unreadable journal: {exc}")
         return report
@@ -266,14 +267,7 @@ def check_job_journal(
         report.emit("AD802", str(path), "empty journal (missing header)")
         return report
 
-    def parse(line: str) -> dict | None:
-        try:
-            obj = json.loads(line)
-        except json.JSONDecodeError:
-            return None
-        return obj if isinstance(obj, dict) else None
-
-    header = parse(lines[0])
+    header = lines[0].obj
     if header is None or header.get("format") != JOB_FORMAT:
         report.emit(
             "AD802",
@@ -291,19 +285,19 @@ def check_job_journal(
 
     last_state: dict[str, str] = {}
     fingerprints: dict[str, str] = {}
-    last = len(lines) - 1
-    for i, line in enumerate(lines[1:], start=1):
-        where = f"{path.name}:{i + 1}"
-        obj = parse(line)
+    for line in lines[1:]:
+        where = f"{path.name}:{line.number}"
+        last = line is lines[-1]  # the journal drops a bad last line
+        obj = line.obj
         if obj is None:
-            if i != last:  # torn final write of a killed daemon is fine
+            if not last:
                 report.emit("AD802", where, "line is not a JSON object")
             continue
         event = obj.get("event")
         try:
             record = JobRecord.from_dict(obj.get("job") or {})
         except (TypeError, ValueError) as exc:
-            if i != last:
+            if not last:
                 report.emit("AD802", where, f"bad job record: {exc}")
             continue
         if event != record.state:
@@ -364,12 +358,11 @@ def is_job_journal(path: str | Path) -> bool:
     from repro.service.jobs import JOB_FORMAT
 
     try:
-        with open(path, encoding="utf-8") as fh:
-            first = fh.readline()
-        header = json.loads(first)
-    except (OSError, ValueError):
+        lines = read_lines(path)
+    except OSError:
         return False
-    return isinstance(header, dict) and header.get("format") == JOB_FORMAT
+    header = lines[0].obj if lines else None
+    return header is not None and header.get("format") == JOB_FORMAT
 
 
 def check_job_leases(
@@ -395,7 +388,7 @@ def check_job_leases(
     from repro.service.jobs import JOB_FORMAT, JobRecord
 
     try:
-        lines = path.read_text(encoding="utf-8").splitlines()
+        lines = read_lines(path)
     except OSError as exc:
         report.emit("AD804", str(path), f"unreadable journal: {exc}")
         return report
@@ -403,14 +396,7 @@ def check_job_leases(
         report.emit("AD804", str(path), "empty journal (missing header)")
         return report
 
-    def parse(line: str) -> dict | None:
-        try:
-            obj = json.loads(line)
-        except json.JSONDecodeError:
-            return None
-        return obj if isinstance(obj, dict) else None
-
-    header = parse(lines[0])
+    header = lines[0].obj
     if header is None or header.get("format") != JOB_FORMAT:
         report.emit(
             "AD804", f"{path.name}:1", f"header is not a {JOB_FORMAT!r} header"
@@ -427,12 +413,11 @@ def check_job_leases(
     last_lease_seq: dict[str, int] = {}  # job -> lease_seq of its latest lease
     open_leases: dict[str, tuple[str, int]] = {}  # job -> (runner, line_no)
     runner_open: dict[str, str] = {}  # runner -> job holding its live lease
-    last = len(lines) - 1
-    for i, line in enumerate(lines[1:], start=1):
-        where = f"{path.name}:{i + 1}"
-        obj = parse(line)
+    for line in lines[1:]:
+        where = f"{path.name}:{line.number}"
+        obj = line.obj
         if obj is None:
-            continue  # AD802 owns torn/garbage line reporting
+            continue  # AD802 owns garbage line reporting
         try:
             record = JobRecord.from_dict(obj.get("job") or {})
         except (TypeError, ValueError):
@@ -490,7 +475,7 @@ def check_job_leases(
                     f"job {job_id} re-leased while its previous lease "
                     "(line {}) was never closed".format(open_leases[job_id][1]),
                 )
-            open_leases[job_id] = (record.runner_id or "", i + 1)
+            open_leases[job_id] = (record.runner_id or "", line.number)
             attempts[job_id] = record.attempt
             last_lease_seq[job_id] = max(
                 last_lease_seq.get(job_id, 0), record.lease_seq

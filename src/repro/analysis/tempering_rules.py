@@ -24,10 +24,10 @@ silently diverge from the uninterrupted run.
 
 from __future__ import annotations
 
-import json
 from pathlib import Path
 
 from repro.analysis.diagnostics import Report, Severity, register_rule
+from repro.journal import read_lines
 from repro.search.tempering import SEGMENT_KIND
 
 register_rule(
@@ -192,28 +192,19 @@ def check_tempering_journal(
     """Run AD604 over every ``pt-segment`` record in a journal file.
 
     Journals without tempering records pass vacuously (plain restart
-    searches write none).  The torn final line of an interrupted run is
-    dropped, mirroring the journal loader and AD601.
+    searches write none).  Every whole line is scanned, header or not;
+    the torn tail is left out by the reader, and lines that are not
+    JSON objects are skipped (AD601 owns structural complaints).
     """
     report = report if report is not None else Report()
     path = Path(path)
     try:
-        lines = path.read_text(encoding="utf-8").splitlines()
+        lines = read_lines(path)
     except OSError as exc:
         report.emit("AD604", str(path), f"unreadable journal: {exc}")
         return report
-    records = []
-    last = len(lines) - 1
-    for i, line in enumerate(lines):
-        try:
-            doc = json.loads(line)
-        except json.JSONDecodeError:
-            if i != last:
-                # AD601 owns structural complaints; skip quietly here.
-                continue
-            continue
-        if isinstance(doc, dict) and doc.get("kind") == SEGMENT_KIND:
-            records.append(doc)
+    docs = (line.obj for line in lines)
+    records = [doc for doc in docs if doc and doc.get("kind") == SEGMENT_KIND]
     return check_tempering_records(records, report, where=path.name)
 
 

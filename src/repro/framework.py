@@ -468,9 +468,7 @@ class AtomicDataflowOptimizer:
             specs = [
                 CandidateSpec(
                     label=f"pt[{k}]",
-                    tiling_stage=SATilingStage(
-                        params=plan.rung_params(k), rung=k
-                    ),
+                    tiling_stage=SATilingStage(params=plan.rung_params(k)),
                 )
                 for k in range(plan.rungs)
             ]

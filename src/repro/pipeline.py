@@ -531,16 +531,13 @@ class TilingStage:
 class SATilingStage(TilingStage):
     """Algorithm 1: simulated-annealing balanced tile sizes.
 
-    ``rung`` marks the stage as one parallel-tempering temperature rung
-    (its ``params`` then carry that rung's portfolio member).  The
-    tempering coordinator anneals rung specs itself — segment-stepped,
-    with exchanges — so a rung stage's own :meth:`run` only executes on
-    the fallback path (tempering disabled or failed), where it anneals
-    the rung's portfolio member as an ordinary independent chain.
+    :meth:`run` anneals one independent chain (a restart).  Tempering
+    rung specs carry a stage too, with ``params`` set to that rung's
+    portfolio member, but only the tempering coordinator anneals them —
+    segment-stepped, with exchanges; their :meth:`run` is never called.
     """
 
     params: SAParams = field(default_factory=SAParams)
-    rung: int | None = None
 
     def run(
         self, ctx: SearchContext, rng: np.random.Generator | None = None

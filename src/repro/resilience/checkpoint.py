@@ -2,21 +2,21 @@
 
 A journal records every candidate the search *finished* evaluating, so a
 crashed or interrupted run resumes by re-evaluating zero completed
-candidates.  The format is deliberately dumb — one JSON object per line,
-flushed after every append — because the writer may die at any byte:
+candidates.  The file is a :class:`repro.journal.Journal` — header line,
+one ``sort_keys`` JSON line per record, ``fsync`` per append, and the
+whole-line rule for torn tails — holding:
 
-* line 1 is a header ``{"format": ..., "version": ..., "key": {...}}``
-  where ``key`` captures everything that determines the candidate set
-  and its results (workload, architecture, seed, restarts, search
-  knobs).  A resume against a journal whose key differs is refused
+* a header ``{"format": ..., "version": ..., "key": {...}}`` where
+  ``key`` captures everything that determines the candidate set and its
+  results (workload, architecture, seed, restarts, search knobs).  A
+  resume against a journal whose key differs is refused
   (:class:`CheckpointError`) rather than silently mixing two searches;
-* every further line is one completed-candidate record (shape owned by
-  :mod:`repro.pipeline`, which also re-verifies each record's tiling
-  fingerprint on restore — a record this module accepts is *syntactically*
-  sound, not yet trusted);
-* a truncated **final** line (the write the crash interrupted) is
-  dropped silently; a malformed line anywhere *else* means the file is
-  not a journal and raises :class:`CheckpointError`.
+* one completed-candidate record per further line, keyed by its
+  ``label`` (shape owned by :mod:`repro.pipeline`, which also
+  re-verifies each record's tiling fingerprint on restore — a record
+  this module accepts is *syntactically* sound, not yet trusted).  A
+  last record without a label is dropped like a torn tail; one anywhere
+  else refuses the journal.
 
 The journal never rewrites or compacts: resuming appends to the same
 file, so one file accumulates the full history of a search across any
@@ -25,10 +25,11 @@ number of interruptions.
 
 from __future__ import annotations
 
-import io
 import json
 import os
 from typing import Any
+
+from repro.journal import Journal
 
 #: Format tag in the journal header; bump :data:`CHECKPOINT_VERSION` on
 #: any record-shape change.
@@ -38,6 +39,13 @@ CHECKPOINT_VERSION = 1
 
 class CheckpointError(ValueError):
     """The journal cannot be used: wrong format, version, or search key."""
+
+
+def _labelled(record: dict[str, Any]) -> dict[str, Any]:
+    label = record.get("label")
+    if not isinstance(label, str) or not label:
+        raise ValueError("record has no candidate label")
+    return record
 
 
 class CheckpointJournal:
@@ -59,7 +67,7 @@ class CheckpointJournal:
     def __init__(self, path: str | os.PathLike, key: dict[str, Any]) -> None:
         self.path = os.fspath(path)
         self.key = json.loads(json.dumps(key))
-        self._fh: io.TextIOBase | None = None
+        self._journal = Journal(self.path, "journal", CheckpointError)
 
     # -- lifecycle ---------------------------------------------------------
 
@@ -74,32 +82,27 @@ class CheckpointJournal:
 
         Returns:
             Completed-candidate records keyed by spec label (empty for a
-            fresh journal).
+            fresh journal); a later record for a label wins.
 
         Raises:
             CheckpointError: The existing file is not a journal, has an
                 incompatible version, or was written by a search with a
                 different key.
         """
-        records: dict[str, dict[str, Any]] = {}
-        fresh = not (resume and os.path.exists(self.path))
-        if not fresh:
-            records = self._load()
-        self._fh = open(self.path, "w" if fresh else "a", encoding="utf-8")
-        if fresh:
-            self._write_line(
-                {
-                    "format": CHECKPOINT_FORMAT,
-                    "version": CHECKPOINT_VERSION,
-                    "key": self.key,
-                }
-            )
-        return records
+        if resume and os.path.exists(self.path):
+            _, records = self._journal.resume(self._validate_header, _labelled)
+            return {record["label"]: record for record in records}
+        self._journal.create(
+            {
+                "format": CHECKPOINT_FORMAT,
+                "version": CHECKPOINT_VERSION,
+                "key": self.key,
+            }
+        )
+        return {}
 
     def close(self) -> None:
-        fh, self._fh = self._fh, None
-        if fh is not None:
-            fh.close()
+        self._journal.close()
 
     def __enter__(self) -> "CheckpointJournal":
         return self
@@ -107,74 +110,21 @@ class CheckpointJournal:
     def __exit__(self, *exc_info) -> None:
         self.close()
 
-    # -- appends -----------------------------------------------------------
-
     def append(self, record: dict[str, Any]) -> None:
         """Durably append one completed-candidate record."""
-        if self._fh is None:
-            raise RuntimeError("journal is not open")
-        self._write_line(record)
+        self._journal.append(record)
 
-    def _write_line(self, obj: dict[str, Any]) -> None:
-        assert self._fh is not None
-        self._fh.write(json.dumps(obj, sort_keys=True) + "\n")
-        self._fh.flush()
-        os.fsync(self._fh.fileno())
-
-    # -- restore -----------------------------------------------------------
-
-    def _load(self) -> dict[str, dict[str, Any]]:
-        with open(self.path, encoding="utf-8") as fh:
-            lines = fh.read().split("\n")
-        if lines and lines[-1] == "":
-            lines.pop()
-        if not lines:
-            raise CheckpointError(f"{self.path}: empty checkpoint file")
-        self._check_header(self._parse(lines[0], line_no=1, final=False))
-        records: dict[str, dict[str, Any]] = {}
-        last = len(lines) - 1
-        for i, line in enumerate(lines[1:], start=1):
-            record = self._parse(line, line_no=i + 1, final=i == last)
-            if record is None:
-                continue  # the torn final write of an interrupted run
-            label = record.get("label")
-            if not isinstance(label, str) or not label:
-                if i == last:
-                    continue
-                raise CheckpointError(
-                    f"{self.path}:{i + 1}: record has no candidate label"
-                )
-            records[label] = record
-        return records
-
-    def _parse(
-        self, line: str, line_no: int, final: bool
-    ) -> dict[str, Any] | None:
-        try:
-            obj = json.loads(line)
-        except json.JSONDecodeError:
-            obj = None
-        if isinstance(obj, dict):
-            return obj
-        if final:
-            return None
-        raise CheckpointError(
-            f"{self.path}:{line_no}: not a JSON object — corrupt journal"
-        )
-
-    def _check_header(self, header: dict[str, Any] | None) -> None:
-        if header is None or header.get("format") != CHECKPOINT_FORMAT:
-            raise CheckpointError(
-                f"{self.path}: not an {CHECKPOINT_FORMAT} journal"
-            )
+    def _validate_header(self, header: dict[str, Any]) -> None:
+        if header.get("format") != CHECKPOINT_FORMAT:
+            raise ValueError(f"not an {CHECKPOINT_FORMAT} journal")
         if header.get("version") != CHECKPOINT_VERSION:
-            raise CheckpointError(
-                f"{self.path}: unsupported checkpoint version "
+            raise ValueError(
+                "unsupported checkpoint version "
                 f"{header.get('version')!r} (expected {CHECKPOINT_VERSION})"
             )
         if header.get("key") != self.key:
-            raise CheckpointError(
-                f"{self.path}: checkpoint was written by a different search "
+            raise ValueError(
+                "checkpoint was written by a different search "
                 "(workload/architecture/seed/search options differ); "
                 "refusing to resume"
             )

@@ -133,9 +133,9 @@ class ReproService:
 
     Args:
         state_dir: Durable state root — ``store/`` (solution cache),
-            ``jobs.jsonl`` (job journal), ``ck/`` (per-job candidate
-            checkpoints).  Restarting on the same directory resumes
-            in-flight jobs.
+            ``jobs.jsonl`` (job journal), ``ck/`` (candidate checkpoints
+            of non-terminal jobs).  Restarting on the same directory
+            resumes in-flight jobs.
         jobs: Default worker count for searches whose request leaves
             ``options.jobs`` at 1 (a request asking for more keeps it).
         store_capacity_bytes: Solution-store LRU cap (None = unbounded).
@@ -256,7 +256,7 @@ class ReproService:
         )
         for job in pending:
             requeued = job.advanced("queued", runner_id=None)
-            self.journal.record("queued", requeued)
+            self._record(requeued)
             self._jobs[job.job_id] = requeued
             self._event("requeue", requeued, reason="restart")
             self._trace_begin(requeued, time.perf_counter())
@@ -347,7 +347,7 @@ class ReproService:
                     lease = self._leases.pop(job_id)
                     job = self._jobs[job_id]
                     record = job.advanced("queued", runner_id=None)
-                    self.journal.record("queued", record)
+                    self._record(record)
                     self._jobs[job_id] = record
                     self._event("requeue", record, reason="drain")
                     jt = self._traces.get(job_id)
@@ -440,7 +440,7 @@ class ReproService:
         leased = job.advanced(
             "running", runner_id=runner_id, lease_seq=seq, attempt=job.attempt + 1
         )
-        self.journal.record("running", leased)
+        self._record(leased)
         self._jobs[job.job_id] = leased
         self._leases[job.job_id] = _Lease(
             job_id=job.job_id,
@@ -537,7 +537,7 @@ class ReproService:
             options = replace(options, jobs=self.default_jobs)
         options = replace(
             options,
-            checkpoint=str(self.state_dir / "ck" / f"{job.job_id}.jsonl"),
+            checkpoint=str(self._checkpoint_path(job.job_id)),
             resume=True,
         )
         with tracer.span(
@@ -646,7 +646,7 @@ class ReproService:
         self, job: JobRecord, kind: str = "requeue", reason: str | None = None
     ) -> None:
         requeued = job.advanced("queued", runner_id=None)
-        self.journal.record("queued", requeued)
+        self._record(requeued)
         self._jobs[job.job_id] = requeued
         self._queue.append(job.job_id)
         self._event(kind, requeued, reason=reason)
@@ -858,6 +858,20 @@ class ReproService:
 
     # -- transitions (all journal-first) ------------------------------------
 
+    def _checkpoint_path(self, job_id: str) -> Path:
+        return self.state_dir / "ck" / f"{job_id}.jsonl"
+
+    def _record(self, job: JobRecord) -> None:
+        """Journal one transition before it takes effect.
+
+        A job's candidate checkpoint exists only so a requeued job can
+        resume; once its terminal record is durable nothing reads it
+        again, so it is deleted then — never before.
+        """
+        self.journal.record(job.state, job)
+        if job.terminal:
+            self._checkpoint_path(job.job_id).unlink(missing_ok=True)
+
     def _release(self, job_id: str) -> None:
         tenant = self._slots.pop(job_id, None)
         if tenant is not None:
@@ -882,7 +896,7 @@ class ReproService:
                 total_cycles=total_cycles,
                 search_seconds=search_seconds,
             )
-            self.journal.record("done", done)
+            self._record(done)
             self._jobs[job.job_id] = done
             self._release(job.job_id)
             self._event("complete", done, state="done", source=source)
@@ -902,7 +916,7 @@ class ReproService:
                     total_cycles=total_cycles,
                     search_seconds=0.0,
                 )
-                self.journal.record("done", finished)
+                self._record(finished)
                 self._jobs[waiter_id] = finished
                 self._release(waiter_id)
                 self._event(
@@ -914,7 +928,7 @@ class ReproService:
     def _finish_failed_locked(self, job: JobRecord, error: str) -> None:
         waiters: list[str] = []
         failed = job.advanced("failed", error=error)
-        self.journal.record("failed", failed)
+        self._record(failed)
         self._jobs[job.job_id] = failed
         self._release(job.job_id)
         self._event("complete", failed, state="failed")
@@ -929,7 +943,7 @@ class ReproService:
             finished = waiter.advanced(
                 "failed", error=f"coalesced onto failed job {job.job_id}: {error}"
             )
-            self.journal.record("failed", finished)
+            self._record(finished)
             self._jobs[waiter_id] = finished
             self._release(waiter_id)
             self._event("complete", finished, state="failed")
@@ -982,7 +996,7 @@ class ReproService:
                     search_seconds=0.0,
                     trace_id=trace_id,
                 )
-                self.journal.record("done", job)
+                self._record(job)
                 self._jobs[job_id] = job
                 jt = self._trace_begin(job, submit_s)
                 self._event("submit", job, tenant=job.tenant, source="cache")
@@ -1014,7 +1028,7 @@ class ReproService:
                     source="coalesced",
                     trace_id=trace_id,
                 )
-                self.journal.record("queued", job)
+                self._record(job)
                 self._jobs[job_id] = job
                 self._slots[job_id] = request.tenant
                 self._waiters.setdefault(primary, []).append(job_id)
@@ -1044,7 +1058,7 @@ class ReproService:
                 source="search",
                 trace_id=trace_id,
             )
-            self.journal.record("queued", job)
+            self._record(job)
             self._jobs[job_id] = job
             self._slots[job_id] = request.tenant
             self._active[fingerprint] = job_id
@@ -1107,7 +1121,7 @@ class ReproService:
             if job.state != "queued":
                 raise ValueError(f"job {job_id} is {job.state}; not cancellable")
             cancelled = job.advanced("cancelled")
-            self.journal.record("cancelled", cancelled)
+            self._record(cancelled)
             self._jobs[job_id] = cancelled
             self._release(job_id)
             self._event("complete", cancelled, state="cancelled")
@@ -1125,7 +1139,7 @@ class ReproService:
                         "failed",
                         error=f"coalesced onto cancelled job {job_id}",
                     )
-                    self.journal.record("failed", finished)
+                    self._record(finished)
                     self._jobs[waiter_id] = finished
                     self._release(waiter_id)
                     self._event("complete", finished, state="failed")

@@ -4,10 +4,9 @@ The daemon appends one JSON line to ``events.jsonl`` for every
 externally meaningful thing that happens to a job — ``submit``,
 ``lease``, ``requeue``/``reclaim``, ``complete`` — each carrying the
 job's ``trace_id``, a strictly increasing ``seq``, and kind-specific
-fields (tenant, runner, attempt, reason...).  The log follows the same
-journal discipline as :class:`~repro.service.jobs.JobJournal`: a header
-line, flush + fsync per append, and a torn final line truncated on
-reopen.
+fields (tenant, runner, attempt, reason...).  The log is a
+:class:`repro.journal.Journal` (header line, fsync per append, and the
+whole-line rule: a torn final line is truncated on reopen).
 
 The log is *derived* observability data; the job journal stays the
 source of truth.  Their agreement is a checkable invariant (AD807 in
@@ -26,12 +25,11 @@ This module also pins the on-disk format of per-job trace documents
 
 from __future__ import annotations
 
-import io
-import json
 import os
 from typing import Any, Mapping
 
-from repro.resilience.faults import InjectedRunnerDeath, ServiceFaultPlan
+from repro.journal import Journal, read_lines
+from repro.resilience.faults import ServiceFaultPlan
 
 #: Format tag in the event-log header.
 EVENTS_FORMAT = "atomic-dataflow-service-events"
@@ -59,8 +57,18 @@ def event_class(kind: str) -> str:
     return "requeue" if kind in REQUEUE_KINDS else kind
 
 
+def _validate_header(header: dict[str, Any]) -> None:
+    if header.get("format") != EVENTS_FORMAT:
+        raise ValueError(f"not a {EVENTS_FORMAT} log")
+    if header.get("version") != EVENTS_VERSION:
+        raise ValueError(
+            "unsupported event log version "
+            f"{header.get('version')!r} (expected {EVENTS_VERSION})"
+        )
+
+
 class EventLog:
-    """Append-only JSONL log of service events (journal discipline).
+    """Append-only JSONL log of service events (a :class:`Journal`).
 
     Usage::
 
@@ -81,19 +89,19 @@ class EventLog:
         faults: ServiceFaultPlan | None = None,
     ) -> None:
         self.path = os.fspath(path)
-        self.faults = faults
         self.header: dict[str, Any] = {}
-        self._fh: io.TextIOBase | None = None
+        self._journal = Journal(
+            self.path, "event log", EventLogError,
+            faults=faults, fault="torn-events",
+        )
         self._seq = 0
         self._events: list[dict[str, Any]] = []
-
-    # -- lifecycle ---------------------------------------------------------
 
     @property
     def closed(self) -> bool:
         """True when the log cannot accept appends (never opened,
         explicitly closed, or killed by an injected torn write)."""
-        return self._fh is None
+        return self._journal.closed
 
     def open(
         self, header_extras: Mapping[str, Any] | None = None
@@ -103,26 +111,17 @@ class EventLog:
         An existing log has its torn final line (if any) truncated and
         the ``seq`` counter resumed past the highest replayed value.
         """
-        fresh = not os.path.exists(self.path)
-        if not fresh:
-            self._load()
-            if self._keep_bytes is not None:
-                with open(self.path, "r+b") as raw:
-                    raw.truncate(self._keep_bytes)
-        self._fh = open(self.path, "a" if not fresh else "w", encoding="utf-8")
-        if fresh:
-            self.header = {"format": EVENTS_FORMAT, "version": EVENTS_VERSION}
-            for key, value in sorted((header_extras or {}).items()):
-                self.header.setdefault(key, value)
-            self._write_line_text(json.dumps(self.header, sort_keys=True))
+        if os.path.exists(self.path):
+            self.header, self._events = self._journal.resume(_validate_header)
+            self._seq = max((int(e.get("seq", 0)) for e in self._events), default=0)
+        else:
+            extras = header_extras or {}
+            self.header = {**extras, "format": EVENTS_FORMAT, "version": EVENTS_VERSION}
+            self._journal.create(self.header)
         return list(self._events)
 
     def close(self) -> None:
-        fh, self._fh = self._fh, None
-        if fh is not None:
-            fh.close()
-
-    # -- appends -----------------------------------------------------------
+        self._journal.close()
 
     def append(
         self,
@@ -132,8 +131,6 @@ class EventLog:
         **fields: Any,
     ) -> dict[str, Any]:
         """Durably append one event; returns the written record."""
-        if self._fh is None:
-            raise RuntimeError("event log is not open")
         if kind not in EVENT_KINDS:
             raise ValueError(f"unknown event kind {kind!r}")
         self._seq += 1
@@ -146,35 +143,9 @@ class EventLog:
         for key, value in fields.items():
             if value is not None:
                 event[key] = value
-        line = json.dumps(event, sort_keys=True)
-        if self.faults is not None and self.faults.take("torn-events") is not None:
-            fh, self._fh = self._fh, None  # the log dies with the write
-            fh.write(line[: max(1, len(line) // 2)])
-            fh.flush()
-            os.fsync(fh.fileno())
-            fh.close()
-            raise InjectedRunnerDeath(
-                f"injected torn event append @ {kind} {job_id}"
-            )
-        self._write_line_text(line)
+        self._journal.append(event)
         self._events.append(event)
         return event
-
-    def _write_line_text(self, line: str) -> None:
-        assert self._fh is not None
-        self._fh.write(line + "\n")
-        self._fh.flush()
-        os.fsync(self._fh.fileno())
-
-    # -- replay ------------------------------------------------------------
-
-    def _load(self) -> None:
-        self._keep_bytes: int | None = None
-        header, events, keep_bytes = _read_event_lines(self.path)
-        self.header = header
-        self._events = events
-        self._keep_bytes = keep_bytes
-        self._seq = max((int(e.get("seq", 0)) for e in events), default=0)
 
     # -- restart reconciliation --------------------------------------------
 
@@ -188,7 +159,7 @@ class EventLog:
         that is corruption for AD807 to flag, not a crash window to
         repair.  Returns the number of events appended.
         """
-        if self._fh is None:
+        if self.closed:
             raise RuntimeError("event log is not open")
         expected = expected_events(journal_path)
         actual: dict[str, list[dict[str, Any]]] = {}
@@ -226,61 +197,10 @@ def read_events(
     Raises:
         EventLogError: Missing/alien header or a corrupt non-final line.
     """
-    header, events, _ = _read_event_lines(path)
-    return header, events
-
-
-def _read_event_lines(
-    path: str | os.PathLike,
-) -> tuple[dict[str, Any], list[dict[str, Any]], int | None]:
-    path = os.fspath(path)
-    with open(path, encoding="utf-8") as fh:
-        text = fh.read()
-    lines = text.split("\n")
-    if lines and lines[-1] == "":
-        lines.pop()
-    if not lines:
-        raise EventLogError(f"{path}: empty event log")
-    header = _parse_line(path, lines[0], line_no=1, final=False)
-    if header is None or header.get("format") != EVENTS_FORMAT:
-        raise EventLogError(f"{path}: not a {EVENTS_FORMAT} log")
-    if header.get("version") != EVENTS_VERSION:
-        raise EventLogError(
-            f"{path}: unsupported event log version "
-            f"{header.get('version')!r} (expected {EVENTS_VERSION})"
-        )
-    events: list[dict[str, Any]] = []
-    keep_bytes: int | None = None
-    last = len(lines) - 1
-    for i, line in enumerate(lines[1:], start=1):
-        obj = _parse_line(path, line, line_no=i + 1, final=i == last)
-        if obj is None:
-            # Torn final write of a killed daemon: compute the byte
-            # offset of the last whole line so open() can truncate.
-            keep = text
-            if keep.endswith("\n"):
-                keep = keep[:-1]
-            keep = keep[: len(keep) - len(lines[last])]
-            keep_bytes = len(keep.encode("utf-8"))
-            continue
-        events.append(obj)
-    return header, events, keep_bytes
-
-
-def _parse_line(
-    path: str, line: str, line_no: int, final: bool
-) -> dict[str, Any] | None:
-    try:
-        obj = json.loads(line)
-    except json.JSONDecodeError:
-        obj = None
-    if isinstance(obj, dict):
-        return obj
-    if final:
-        return None
-    raise EventLogError(
-        f"{path}:{line_no}: not a JSON object — corrupt event log"
+    header, events, _ = Journal(path, "event log", EventLogError).read(
+        _validate_header
     )
+    return header, events
 
 
 def expected_events(
@@ -304,23 +224,17 @@ def expected_events(
     the daemon appends journal-first).  Journal headers/versions are
     not validated here; that is AD802's job.
     """
-    journal_path = os.fspath(journal_path)
-    with open(journal_path, encoding="utf-8") as fh:
-        lines = fh.read().split("\n")
-    if lines and lines[-1] == "":
-        lines.pop()
+    lines = read_lines(journal_path)
     expected: dict[str, list[dict[str, Any]]] = {}
-    last = len(lines) - 1
-    for i, line in enumerate(lines[1:], start=1):
-        try:
-            obj = json.loads(line)
-        except json.JSONDecodeError:
-            if i == last:
-                continue  # torn tail: no event was emitted for it
+    for line in lines[1:]:
+        if line.obj is None:
+            if line is lines[-1]:
+                continue  # dropped like a torn tail: no event was emitted
             raise EventLogError(
-                f"{journal_path}:{i + 1}: corrupt job journal line"
-            ) from None
-        job = obj.get("job", {}) if isinstance(obj, dict) else {}
+                f"{os.fspath(journal_path)}:{line.number}: corrupt job "
+                "journal line"
+            )
+        job = line.obj.get("job", {})
         job_id = job.get("job_id")
         state = job.get("state")
         if not isinstance(job_id, str) or state is None:

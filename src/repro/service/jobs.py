@@ -3,9 +3,9 @@
 Every job state transition is appended to one JSONL journal before it
 takes effect in memory, so a killed daemon replays the journal on
 restart and resumes exactly the jobs that were queued or running.  The
-format mirrors :mod:`repro.resilience.checkpoint`: a header line, one
-JSON object per event, flush + fsync per append, and a torn final line
-(the write the kill interrupted) dropped silently.
+journal is a :class:`repro.journal.Journal` (header line, one JSON
+object per event, fsync per append, and the whole-line rule for the
+write a kill interrupted).
 
 Ownership of a running job is a **lease**: the runner that picks a job
 up journals a ``running`` event carrying its ``runner_id``, the job's
@@ -24,14 +24,13 @@ concurrent submissions never collide.
 
 from __future__ import annotations
 
-import io
-import json
 import os
 import threading
 from dataclasses import dataclass, field, replace
 from typing import Any, Mapping
 
-from repro.resilience.faults import InjectedRunnerDeath, ServiceFaultPlan
+from repro.journal import Journal
+from repro.resilience.faults import ServiceFaultPlan
 
 #: Format tag in the job-journal header; bump the version on any
 #: record-shape change.
@@ -213,6 +212,23 @@ class JobIdAllocator:
             return f"job-{self._highest:06d}"
 
 
+def _validate_header(header: dict[str, Any]) -> None:
+    if header.get("format") != JOB_FORMAT:
+        raise ValueError(f"not a {JOB_FORMAT} journal")
+    if header.get("version") not in _READABLE_VERSIONS:
+        raise ValueError(
+            "unsupported job journal version "
+            f"{header.get('version')!r} (expected one of {_READABLE_VERSIONS})"
+        )
+
+
+def _job_record(line: dict[str, Any]) -> JobRecord:
+    try:
+        return JobRecord.from_dict(line["job"])
+    except (KeyError, TypeError, ValueError) as exc:
+        raise ValueError(f"bad job record ({exc})") from exc
+
+
 class JobJournal:
     """Append-only JSONL journal of job state transitions.
 
@@ -223,10 +239,11 @@ class JobJournal:
         journal.record("queued", job)         # before each transition
         journal.close()
 
-    :meth:`open` on an existing file replays every event and returns the
-    *latest* record per job id — the daemon's restart state.  Appends
-    are flushed and fsynced, mirroring the candidate checkpoint journal,
-    so a kill loses at most the torn final line.
+    The file is a :class:`repro.journal.Journal`, so a kill loses at
+    most the torn final line.  :meth:`open` on an existing file replays
+    every event over journal versions 1-3 and returns the *latest*
+    record per job id — the daemon's restart state.  A last line that
+    is not a :class:`JobRecord` is dropped like a torn tail.
 
     ``faults`` arms the service-level chaos harness: a ``torn-journal``
     fault makes one :meth:`record` write only a prefix of its line and
@@ -242,17 +259,17 @@ class JobJournal:
         faults: ServiceFaultPlan | None = None,
     ) -> None:
         self.path = os.fspath(path)
-        self.faults = faults
         self.header: dict[str, Any] = {}
-        self._fh: io.TextIOBase | None = None
-
-    # -- lifecycle ---------------------------------------------------------
+        self._journal = Journal(
+            self.path, "job journal", JobJournalError,
+            faults=faults, fault="torn-journal",
+        )
 
     @property
     def closed(self) -> bool:
         """True when the journal cannot accept appends (never opened,
         explicitly closed, or killed by an injected torn write)."""
-        return self._fh is None
+        return self._journal.closed
 
     def open(
         self, header_extras: Mapping[str, Any] | None = None
@@ -264,27 +281,16 @@ class JobJournal:
         the AD806 validator reads back); an existing journal keeps its
         own header, exposed as :attr:`header`.
         """
-        jobs: dict[str, JobRecord] = {}
-        fresh = not os.path.exists(self.path)
-        if not fresh:
-            jobs = self._load()
-            if self._keep_bytes is not None:
-                # The file ends in a torn write; cut it back to the last
-                # whole line so the next append starts a clean one.
-                with open(self.path, "r+b") as raw:
-                    raw.truncate(self._keep_bytes)
-        self._fh = open(self.path, "a" if not fresh else "w", encoding="utf-8")
-        if fresh:
-            self.header = {"format": JOB_FORMAT, "version": JOB_VERSION}
-            for key, value in sorted((header_extras or {}).items()):
-                self.header.setdefault(key, value)
-            self._write_line(self.header)
-        return jobs
+        if os.path.exists(self.path):
+            self.header, records = self._journal.resume(_validate_header, _job_record)
+            return {record.job_id: record for record in records}
+        extras = header_extras or {}
+        self.header = {**extras, "format": JOB_FORMAT, "version": JOB_VERSION}
+        self._journal.create(self.header)
+        return {}
 
     def close(self) -> None:
-        fh, self._fh = self._fh, None
-        if fh is not None:
-            fh.close()
+        self._journal.close()
 
     def __enter__(self) -> "JobJournal":
         return self
@@ -292,101 +298,13 @@ class JobJournal:
     def __exit__(self, *exc_info) -> None:
         self.close()
 
-    # -- appends -----------------------------------------------------------
-
     def record(self, event: str, job: JobRecord) -> None:
         """Durably append one state transition."""
-        if self._fh is None:
-            raise RuntimeError("job journal is not open")
         if event != job.state:
             raise ValueError(
                 f"event {event!r} disagrees with record state {job.state!r}"
             )
-        line = json.dumps({"event": event, "job": job.to_dict()}, sort_keys=True)
-        if self.faults is not None and self.faults.take("torn-journal") is not None:
-            fh, self._fh = self._fh, None  # the journal dies with the write
-            fh.write(line[: max(1, len(line) // 2)])
-            fh.flush()
-            os.fsync(fh.fileno())
-            fh.close()
-            raise InjectedRunnerDeath(
-                f"injected torn journal append @ {event} {job.job_id}"
-            )
-        self._write_line_text(line)
-
-    def _write_line(self, obj: dict[str, Any]) -> None:
-        self._write_line_text(json.dumps(obj, sort_keys=True))
-
-    def _write_line_text(self, line: str) -> None:
-        assert self._fh is not None
-        self._fh.write(line + "\n")
-        self._fh.flush()
-        os.fsync(self._fh.fileno())
-
-    # -- replay ------------------------------------------------------------
-
-    def _load(self) -> dict[str, JobRecord]:
-        self._keep_bytes: int | None = None
-        with open(self.path, encoding="utf-8") as fh:
-            text = fh.read()
-        lines = text.split("\n")
-        if lines and lines[-1] == "":
-            lines.pop()
-        if not lines:
-            raise JobJournalError(f"{self.path}: empty job journal")
-        header = self._parse(lines[0], line_no=1, final=False)
-        if header is None or header.get("format") != JOB_FORMAT:
-            raise JobJournalError(f"{self.path}: not a {JOB_FORMAT} journal")
-        if header.get("version") not in _READABLE_VERSIONS:
-            raise JobJournalError(
-                f"{self.path}: unsupported job journal version "
-                f"{header.get('version')!r} (expected one of {_READABLE_VERSIONS})"
-            )
-        self.header = header
-        jobs: dict[str, JobRecord] = {}
-        last = len(lines) - 1
-        for i, line in enumerate(lines[1:], start=1):
-            obj = self._parse(line, line_no=i + 1, final=i == last)
-            if obj is None:
-                self._mark_torn_tail(text, lines[last])
-                continue  # torn final write of a killed daemon
-            try:
-                record = JobRecord.from_dict(obj["job"])
-            except (KeyError, TypeError, ValueError) as exc:
-                if i == last:
-                    self._mark_torn_tail(text, lines[last])
-                    continue
-                raise JobJournalError(
-                    f"{self.path}:{i + 1}: bad job record ({exc})"
-                ) from exc
-            jobs[record.job_id] = record
-        return jobs
-
-    def _mark_torn_tail(self, text: str, torn_line: str) -> None:
-        """Remember how many bytes of the file precede the torn final
-        line, so :meth:`open` can truncate before appending (otherwise
-        the next append would fuse onto the torn prefix, turning a
-        recoverable tail into corruption in the middle of the file)."""
-        keep = text
-        if keep.endswith("\n"):
-            keep = keep[: -1]
-        keep = keep[: len(keep) - len(torn_line)]
-        self._keep_bytes = len(keep.encode("utf-8"))
-
-    def _parse(
-        self, line: str, line_no: int, final: bool
-    ) -> dict[str, Any] | None:
-        try:
-            obj = json.loads(line)
-        except json.JSONDecodeError:
-            obj = None
-        if isinstance(obj, dict):
-            return obj
-        if final:
-            return None
-        raise JobJournalError(
-            f"{self.path}:{line_no}: not a JSON object — corrupt job journal"
-        )
+        self._journal.append({"event": event, "job": job.to_dict()})
 
 
 __all__ = [

@@ -190,6 +190,33 @@ class TestRestartRecovery:
         assert revived.result(job_id)["solution_json"].encode() == expected
         revived.stop()
 
+    def test_terminal_job_deletes_its_checkpoint(
+        self, short_dir, arch, monkeypatch
+    ):
+        """A searched job's candidate checkpoint exists only while the
+        job can still be requeued; once it is done the file is gone."""
+        from repro.resilience import CheckpointJournal
+
+        written: set[str] = set()
+        append = CheckpointJournal.append
+
+        def spy(journal, record):
+            written.add(journal.path)
+            append(journal, record)
+
+        monkeypatch.setattr(CheckpointJournal, "append", spy)
+        service = ReproService(short_dir / "state")
+        service.start()
+        try:
+            job_id = service.submit(_request(arch=arch).to_dict())["job_id"]
+            job = _drain(service, job_id)
+        finally:
+            service.stop()
+        assert job["state"] == "done" and job["source"] == "search"
+        ck_path = short_dir / "state" / "ck" / f"{job_id}.jsonl"
+        assert written == {str(ck_path)}
+        assert not ck_path.exists()
+
     def test_coalesced_waiters_survive_restart_as_cache_hits(
         self, short_dir, arch
     ):
