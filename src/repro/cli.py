@@ -20,6 +20,8 @@ Commands:
 * ``profile`` — re-simulate a saved solution with timeline collection
   and print its per-engine occupancy breakdown (optionally exporting a
   Chrome/Perfetto trace; see :mod:`repro.obs`).
+* ``bench`` — run the pinned benchmark scenarios and gate them against
+  the committed ``BENCH.json`` ledger (see :mod:`repro.bench`).
 
 ``repro -v`` raises library log verbosity (``-vv`` for per-candidate
 debug events); ``repro optimize --profile out.json`` records a span
@@ -114,9 +116,29 @@ def _add_common(p: argparse.ArgumentParser) -> None:
     )
 
 
-def _sa_params_from_args(args: argparse.Namespace) -> SAParams:
-    return SAParams(
-        max_iterations=args.sa_iterations, schedule=args.sa_schedule
+def _options_from_args(
+    args: argparse.Namespace, **overrides
+) -> OptimizerOptions:
+    """The optimizer options the shared search flags describe.
+
+    Raises:
+        ValueError: On an inconsistent flag combination (e.g. both
+            ``--restarts`` and ``--rungs``); commands print it and exit 2.
+    """
+    return OptimizerOptions(
+        dataflow=args.dataflow,
+        batch=args.batch,
+        scheduler=args.scheduler,
+        sa_params=SAParams(
+            max_iterations=args.sa_iterations, schedule=args.sa_schedule
+        ),
+        seed=args.seed,
+        restarts=args.restarts,
+        rungs=args.rungs,
+        exchange_every=args.exchange_every,
+        portfolio=args.portfolio,
+        jobs=args.jobs,
+        **overrides,
     )
 
 
@@ -136,17 +158,8 @@ def _cmd_optimize(args: argparse.Namespace) -> int:
     arch = _arch_from_args(args)
     graph = get_model(args.model)
     try:
-        options = OptimizerOptions(
-            dataflow=args.dataflow,
-            batch=args.batch,
-            scheduler=args.scheduler,
-            sa_params=_sa_params_from_args(args),
-            seed=args.seed,
-            restarts=args.restarts,
-            rungs=args.rungs,
-            exchange_every=args.exchange_every,
-            portfolio=args.portfolio,
-            jobs=args.jobs,
+        options = _options_from_args(
+            args,
             retries=args.retries,
             candidate_timeout_s=args.candidate_timeout,
             checkpoint=args.checkpoint,
@@ -306,18 +319,11 @@ def _export_profile(
 def _cmd_compare(args: argparse.Namespace) -> int:
     arch = _arch_from_args(args)
     graph = get_model(args.model)
-    options = OptimizerOptions(
-        dataflow=args.dataflow,
-        batch=args.batch,
-        scheduler=args.scheduler,
-        sa_params=_sa_params_from_args(args),
-        seed=args.seed,
-        restarts=args.restarts,
-        rungs=args.rungs,
-        exchange_every=args.exchange_every,
-        portfolio=args.portfolio,
-        jobs=args.jobs,
-    )
+    try:
+        options = _options_from_args(args)
+    except ValueError as exc:
+        print(str(exc), file=sys.stderr)
+        return 2
     results = [
         AtomicDataflowOptimizer(graph, arch, options).optimize().result,
         run_layer_sequential(graph, arch, args.dataflow, args.batch),
@@ -334,6 +340,11 @@ def _cmd_dse(args: argparse.Namespace) -> int:
     from repro.config import EngineConfig
 
     graph = get_model(args.model)
+    try:
+        options = _options_from_args(args)
+    except ValueError as exc:
+        print(str(exc), file=sys.stderr)
+        return 2
     rows, cols = args.budget_mesh
     budget = ArchConfig(
         mesh_rows=1,
@@ -354,18 +365,6 @@ def _cmd_dse(args: argparse.Namespace) -> int:
             arch = budget.repartitioned(gr, gc)
         except ValueError:
             continue
-        options = OptimizerOptions(
-            dataflow=args.dataflow,
-            batch=args.batch,
-            scheduler="greedy",
-            sa_params=_sa_params_from_args(args),
-            seed=args.seed,
-            restarts=args.restarts,
-            rungs=args.rungs,
-            exchange_every=args.exchange_every,
-            portfolio=args.portfolio,
-            jobs=args.jobs,
-        )
         r = AtomicDataflowOptimizer(graph, arch, options).optimize().result
         if best is None or r.total_cycles < best[1]:
             best = (f"{gr}x{gc}", r.total_cycles)
@@ -532,18 +531,7 @@ def _cmd_submit(args: argparse.Namespace) -> int:
         request = CompileRequest(
             model=args.model,
             arch=_arch_from_args(args),
-            options=OptimizerOptions(
-                dataflow=args.dataflow,
-                batch=args.batch,
-                scheduler=args.scheduler,
-                sa_params=_sa_params_from_args(args),
-                seed=args.seed,
-                restarts=args.restarts,
-                rungs=args.rungs,
-                exchange_every=args.exchange_every,
-                portfolio=args.portfolio,
-                jobs=args.jobs,
-            ),
+            options=_options_from_args(args),
             tenant=args.tenant,
         )
     except ValueError as exc:
@@ -755,19 +743,21 @@ def _cmd_cache(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_bench(args: argparse.Namespace) -> int:
-    """Delegate to :mod:`repro.perf_bench` (same flags)."""
-    from repro.perf_bench import main as bench_main
+def _bench_scenario(name: str) -> str:
+    from repro.bench import SCENARIOS
 
-    forwarded = [
-        "--restarts", str(args.restarts),
-        "--seed", str(args.seed),
-        "--out", args.out,
-        "--threshold", str(args.threshold),
-    ]
-    if args.check:
-        forwarded.append("--check")
-    return bench_main(forwarded)
+    if name not in SCENARIOS:
+        raise argparse.ArgumentTypeError(
+            f"unknown scenario {name!r} (choose from {', '.join(SCENARIOS)})"
+        )
+    return name
+
+
+def _cmd_bench(args: argparse.Namespace) -> int:
+    """Run pinned benchmark scenarios (see :mod:`repro.bench`)."""
+    from repro.bench import run_bench
+
+    return run_bench(args.scenarios or ["perf"], args.check, args.out)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -831,6 +821,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_dse = sub.add_parser("dse", help="engine-grid design-space sweep")
     _add_common(p_dse)
+    p_dse.set_defaults(scheduler="greedy")
     p_dse.add_argument(
         "--budget-mesh", type=_parse_mesh, default=(4, 4),
         help="budget expressed as an equivalent engine grid (default 4x4)",
@@ -858,21 +849,21 @@ def build_parser() -> argparse.ArgumentParser:
     )
 
     p_bench = sub.add_parser(
-        "bench", help="pinned search-performance benchmark (BENCH_perf.json)"
+        "bench", help="pinned benchmark scenarios (BENCH.json ledger)"
     )
-    p_bench.add_argument("--restarts", type=int, default=8)
-    p_bench.add_argument("--seed", type=int, default=0)
     p_bench.add_argument(
-        "--out", default="BENCH_perf.json", help="report JSON path"
+        "scenarios", nargs="*", type=_bench_scenario, metavar="SCENARIO",
+        help="perf, tempering, serve, or profile (default: perf)",
     )
     p_bench.add_argument(
         "--check", action="store_true",
-        help="compare against the committed --out file; exit 1 on result "
-        "drift or wall-time regression",
+        help="gate every fresh row (vs the committed BENCH.json where a "
+        "reference applies); exit 1 on any problem",
     )
     p_bench.add_argument(
-        "--threshold", type=float, default=0.25,
-        help="allowed fractional wall-time regression with --check",
+        "--out", metavar="JSON",
+        help="merge the fresh rows into this ledger file (BENCH.json "
+        "refreshes the committed one)",
     )
 
     p_srv = sub.add_parser(

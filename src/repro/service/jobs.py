@@ -167,23 +167,6 @@ class JobRecord:
         return replace(self, state=state, **changes)
 
 
-def next_job_id(existing: Mapping[str, JobRecord] | None = None) -> str:
-    """The next sequential job id given already-journaled jobs.
-
-    Stateless helper for one-shot callers; the daemon allocates through
-    a :class:`JobIdAllocator`, which is collision-safe under concurrent
-    submissions (this function recomputes from the mapping every call,
-    so two unsynchronized callers can draw the same id).
-    """
-    highest = 0
-    for job_id in existing or ():
-        try:
-            highest = max(highest, int(job_id.rsplit("-", 1)[1]))
-        except (IndexError, ValueError):
-            continue
-    return f"job-{highest + 1:06d}"
-
-
 class JobIdAllocator:
     """Atomic sequential job-id allocator (``job-%06d``).
 
@@ -316,5 +299,4 @@ __all__ = [
     "JobJournal",
     "JobJournalError",
     "JobRecord",
-    "next_job_id",
 ]

@@ -15,7 +15,6 @@ from repro.service.jobs import (
     JobJournal,
     JobJournalError,
     JobRecord,
-    next_job_id,
 )
 
 
@@ -64,20 +63,11 @@ class TestJobRecord:
         assert done.state == "done" and done.total_cycles == 9
 
 
-class TestNextJobId:
-    def test_empty(self):
-        assert next_job_id({}) == "job-000001"
-        assert next_job_id(None) == "job-000001"
-
-    def test_continues_after_highest(self):
-        jobs = {"job-000002": None, "job-000007": None}
-        assert next_job_id(jobs) == "job-000008"
-
-    def test_ignores_malformed_ids(self):
-        assert next_job_id({"weird": None, "job-abc": None}) == "job-000001"
-
-
 class TestJobIdAllocator:
+    def test_empty(self):
+        assert JobIdAllocator({}).next() == "job-000001"
+        assert JobIdAllocator(None).next() == "job-000001"
+
     def test_continues_after_highest(self):
         allocator = JobIdAllocator({"job-000002": None, "job-000007": None})
         assert allocator.next() == "job-000008"
@@ -88,8 +78,7 @@ class TestJobIdAllocator:
         assert allocator.next() == "job-000001"
 
     def test_concurrent_draws_never_collide(self):
-        """The regression `next_job_id` had: N unsynchronized submitters
-        must each get a distinct id."""
+        """N unsynchronized submitters must each get a distinct id."""
         allocator = JobIdAllocator({})
         drawn: list[str] = []
         lock = threading.Lock()
