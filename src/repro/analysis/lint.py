@@ -8,10 +8,15 @@ These are repo-specific hazards generic linters do not know about:
   inside functions whose name mentions ``close``/``approx``/``tol`` (the
   tolerance helpers themselves) are exempt.
 * ``LINT002`` — mutation of :class:`~repro.atoms.dag.AtomicDAG` flat
-  arrays (``atoms``/``preds``/``succs``/``costs``/``dram_input_bytes``/
-  ``edge_bytes``) outside ``repro.atoms``.  The arrays are index-aligned;
-  out-of-band mutation desynchronizes them, which is exactly what the
-  AD101/AD102/AD104 validators exist to catch after the fact.
+  arrays outside ``repro.atoms``: the object views (``atoms``/``preds``/
+  ``succs``/``costs``/``dram_input_bytes``/``edge_bytes``), the CSR edge
+  arrays (``pred_ptr``/``pred_ids``/``pred_bytes`` and the ``succ_``
+  side) and the per-atom columns (``atom_sample``/``atom_layer``/
+  ``atom_tile``/``atom_bounds``/``atom_weight_slice``/
+  ``atom_incoming_bytes``/``atom_dram_bytes``).  The arrays are
+  index-aligned; out-of-band mutation desynchronizes them, which is
+  exactly what the AD101/AD102/AD104 validators exist to catch after the
+  fact.
 * ``LINT003`` — every ``repro`` module must start with ``from __future__
   import annotations`` (uniform lazy annotation semantics across the
   package; docstring-only modules are exempt).
@@ -73,9 +78,16 @@ register_rule(
     "pipeline evaluation stage / benchmarks (use SearchContext.simulator)",
 )
 
-#: AtomicDAG's index-aligned flat attributes guarded by LINT002.
+#: AtomicDAG's index-aligned flat attributes guarded by LINT002: the
+#: object views, the CSR edge arrays, and the per-atom columns.
 DAG_FLAT_ATTRS = frozenset(
-    {"atoms", "preds", "succs", "costs", "dram_input_bytes", "edge_bytes"}
+    {
+        "atoms", "preds", "succs", "costs", "dram_input_bytes", "edge_bytes",
+        "pred_ptr", "pred_ids", "pred_bytes",
+        "succ_ptr", "succ_ids", "succ_bytes",
+        "atom_sample", "atom_layer", "atom_tile", "atom_bounds",
+        "atom_weight_slice", "atom_incoming_bytes", "atom_dram_bytes",
+    }
 )
 
 #: Method names that mutate lists/dicts in place.
@@ -89,6 +101,8 @@ _MUTATORS = frozenset(
         "clear",
         "setdefault",
         "update",
+        "sort",
+        "fill",
     }
 )
 

@@ -362,8 +362,8 @@ def run_self_check() -> tuple[bool, str]:
             lines,
         )
 
-    phantom_dag = replace(
-        dag, edge_bytes={**dag.edge_bytes, (dag.num_atoms - 1, 0): 1}
+    phantom_dag = dag.with_views(
+        edge_bytes={**dag.edge_bytes, (dag.num_atoms - 1, 0): 1}
     )
     passed &= _expect(
         "seeded phantom edge_bytes",

@@ -6,23 +6,34 @@ connect an atom to exactly the producer atoms whose output regions its
 receptive field touches (Fig. 6(b)).  All samples of a batch live in one
 unified DAG of ``#Batch`` identical sub-DAGs.
 
-Atoms are indexed densely (0..num_atoms-1) so schedulers can use flat
-arrays; :class:`AtomId` remains available for reporting.
+Atoms are indexed densely (0..num_atoms-1), sample-major and then layer by
+layer, so every structure is a flat array.  The builder is array-first:
+each layer's tile lattice is priced in one vectorized
+:meth:`~repro.engine.batch.CostKernel.price_regions` call, and dependency
+edges are derived per (consumer layer, input) from the separable per-axis
+halo spans.  The result stays in arrays end to end:
 
-The builder is array-first: each layer's tile lattice is priced in one
-vectorized :meth:`~repro.engine.batch.CostKernel.price_regions` call, and
-dependency edges are derived per (consumer layer, input) from the
-separable per-axis halo spans instead of per-atom Python region math.
-Costs land in the structure-of-arrays :class:`~repro.atoms.table.
-AtomCostTable`; scheduling and mapping read the flat ``atom_cycles`` /
-``atom_weight_bytes`` lists, while per-atom :class:`EngineCost` objects
-stay available as lazy views for the simulator and validators.
+* edges as CSR (compressed sparse rows) on both sides — ``pred_ptr`` /
+  ``pred_ids`` / ``pred_bytes`` and ``succ_ptr`` / ``succ_ids`` /
+  ``succ_bytes``;
+* per-atom columns — sample, layer, tile index, region bounds, weight
+  slice, incoming bytes and DRAM input bytes;
+* per-atom costs in the structure-of-arrays
+  :class:`~repro.atoms.table.AtomCostTable`.
+
+The scheduler, mapper, buffer policy and simulator read those arrays.
+The object views (``atoms``, ``preds``, ``succs``, ``edge_bytes``,
+``dram_input_bytes``) are derived lazily, each from the arrays on its
+own, for the validators, serializer, report and executors; a view may be
+reassigned or corrupted in place without touching the arrays or the
+other views.
 """
 
 from __future__ import annotations
 
+import copy
 from dataclasses import dataclass, field
-from typing import Sequence
+from functools import cached_property
 
 import numpy as np
 
@@ -30,93 +41,155 @@ from repro.atoms.atom import Atom, AtomId, TileSize
 from repro.atoms.partition import TileGrid, grid_bounds, grid_for
 from repro.atoms.table import AtomCostTable
 from repro.engine.batch import concat_overlap_mask, input_span_arrays
-from repro.engine.cost_model import EngineCost, EngineCostModel
+from repro.engine.cost_model import EngineCostModel
 from repro.ir.graph import Graph
-from repro.ir.ops import Concat, Input
+from repro.ir.ops import Concat, Input, Region
 
 
-@dataclass
+@dataclass(eq=False)
 class AtomicDAG:
     """Atom-level dependency graph over a (possibly batched) workload.
 
-    Build with :func:`build_atomic_dag`; attributes are flat and index-
-    aligned (position ``i`` describes atom ``i``).
+    Build with :func:`build_atomic_dag`.  Every array is int64 and
+    index-aligned: position ``i`` of a per-atom column describes atom
+    ``i``, and atom ``i``'s edges are ``[ptr[i], ptr[i + 1])`` of a CSR
+    side.
 
     Attributes:
         graph: The layer graph the DAG was derived from.
         batch: Number of batch samples replicated into the DAG.
-        atoms: All atoms.
-        preds: Predecessor atom indices per atom (deduplicated, sorted).
-        succs: Successor atom indices per atom.
-        costs: Per-atom engine cost (cycles, traffic) from the cost model —
-            an :class:`~repro.atoms.table.AtomCostTable` when built by
-            :func:`build_atomic_dag`, a plain list otherwise.
-        layer_depth: Layer id -> longest-path depth in the layer graph.
-        dram_input_bytes: Per-atom bytes that must come from DRAM because
-            the producer is the network input (no on-chip producer).
         grids: Layer id -> tile grid used to partition it.
-        edge_bytes: (producer atom, consumer atom) -> bytes of producer
-            output the consumer reads (the overlap of its receptive field
-            with the producer's region) — the NoC payload of that edge.
+        layer_depth: Layer id -> longest-path depth in the layer graph.
+        costs: Per-atom engine cost (cycles, traffic) from the cost model.
+        pred_ptr / pred_ids / pred_bytes: Predecessors per consumer
+            (sorted ascending) and the bytes of producer output each one
+            reads — the NoC payload of that edge.
+        succ_ptr / succ_ids / succ_bytes: The same edges per producer,
+            consumers ascending.
+        atom_sample / atom_layer / atom_tile: Each atom's
+            :class:`~repro.atoms.atom.AtomId` fields.
+        atom_bounds: ``(num_atoms, 6)`` output region per atom, columns
+            ``(h0, h1, w0, w1, c0, c1)`` inclusive.
+        atom_weight_slice: Output-channel tile of the weight slice an atom
+            needs, or -1 for weightless atoms.
+        atom_incoming_bytes: Bytes an atom pulls in: its edges' payloads
+            plus its weight slice.
+        atom_dram_bytes: Bytes that must come from DRAM because the
+            producer is the network input (no on-chip producer).
     """
 
     graph: Graph
     batch: int
-    atoms: list[Atom] = field(default_factory=list)
-    preds: list[tuple[int, ...]] = field(default_factory=list)
-    succs: list[tuple[int, ...]] = field(default_factory=list)
-    costs: Sequence[EngineCost] = field(default_factory=list)
-    layer_depth: dict[int, int] = field(default_factory=dict)
-    dram_input_bytes: list[int] = field(default_factory=list)
-    grids: dict[int, TileGrid] = field(default_factory=dict)
-    edge_bytes: dict[tuple[int, int], int] = field(default_factory=dict)
+    grids: dict[int, TileGrid]
+    layer_depth: dict[int, int]
+    costs: AtomCostTable
+    pred_ptr: np.ndarray
+    pred_ids: np.ndarray
+    pred_bytes: np.ndarray
+    succ_ptr: np.ndarray
+    succ_ids: np.ndarray
+    succ_bytes: np.ndarray
+    atom_sample: np.ndarray
+    atom_layer: np.ndarray
+    atom_tile: np.ndarray
+    atom_bounds: np.ndarray
+    atom_weight_slice: np.ndarray
+    atom_incoming_bytes: np.ndarray
+    atom_dram_bytes: np.ndarray
     _base: dict[tuple[int, int], int] = field(default_factory=dict, repr=False)
-    _atom_cycles: list[int] | None = field(default=None, repr=False)
-    _atom_weight_bytes: list[int] | None = field(default=None, repr=False)
-    _atom_ofmap_bytes: list[int] | None = field(default=None, repr=False)
+    _lists: dict[str, list] = field(default_factory=dict, repr=False)
+
+    # -------------------------------------------------------------- views
+
+    @cached_property
+    def atoms(self) -> list[Atom]:
+        """All atoms as objects (validators, serializer, report, executors)."""
+        return [
+            Atom(AtomId(s, layer, x), Region((h0, h1), (w0, w1), (c0, c1)))
+            for s, layer, x, (h0, h1, w0, w1, c0, c1) in zip(
+                self.atom_sample.tolist(),
+                self.atom_layer.tolist(),
+                self.atom_tile.tolist(),
+                self.atom_bounds.tolist(),
+            )
+        ]
+
+    @cached_property
+    def preds(self) -> list[tuple[int, ...]]:
+        """Predecessor atom indices per atom (deduplicated, sorted)."""
+        return _rows(self.pred_ptr, self.pred_ids)
+
+    @cached_property
+    def succs(self) -> list[tuple[int, ...]]:
+        """Successor atom indices per atom (sorted)."""
+        return _rows(self.succ_ptr, self.succ_ids)
+
+    @cached_property
+    def edge_bytes(self) -> dict[tuple[int, int], int]:
+        """(producer atom, consumer atom) -> bytes the consumer reads."""
+        consumers = np.repeat(
+            np.arange(self.num_atoms, dtype=np.int64), np.diff(self.pred_ptr)
+        )
+        return dict(
+            zip(
+                zip(self.pred_ids.tolist(), consumers.tolist()),
+                self.pred_bytes.tolist(),
+            )
+        )
+
+    @cached_property
+    def dram_input_bytes(self) -> list[int]:
+        """Per-atom bytes read from DRAM because the producer is an input."""
+        return self.atom_dram_bytes.tolist()
+
+    def with_views(self, **views: object) -> AtomicDAG:
+        """A shallow copy whose named object views are replaced.
+
+        For seeded corruptions: the copy shares the arrays, so its other
+        views still derive from the unmodified arrays.
+
+        Raises:
+            ValueError: For a name that is not an object view.
+        """
+        unknown = set(views) - OBJECT_VIEWS
+        if unknown:
+            raise ValueError(f"not object views: {sorted(unknown)}")
+        clone = copy.copy(self)
+        vars(clone).update(views)
+        return clone
+
+    def as_list(self, name: str) -> list:
+        """One array as a memoized Python list, for scalar hot loops.
+
+        Indexing a list is several times cheaper than indexing a NumPy
+        array one element at a time; the arrays never change after the
+        build, so each is converted once per DAG.
+        """
+        cached = self._lists.get(name)
+        if cached is None:
+            cached = self._lists[name] = getattr(self, name).tolist()
+        return cached
+
+    # ------------------------------------------------------------ columns
 
     @property
     def num_atoms(self) -> int:
-        return len(self.atoms)
+        return len(self.atom_layer)
 
     @property
     def atom_cycles(self) -> list[int]:
-        """Flat per-atom cycle list (index-aligned with :attr:`atoms`).
-
-        The scheduler/mapping hot paths read this instead of touching an
-        :class:`EngineCost` object per atom.  Derived lazily from
-        :attr:`costs` for hand-built DAGs; do not mutate ``costs`` after
-        first access.
-        """
-        if self._atom_cycles is None:
-            table = self.costs
-            if isinstance(table, AtomCostTable):
-                self._atom_cycles = table.cycles
-            else:
-                self._atom_cycles = [c.cycles for c in table]
-        return self._atom_cycles
+        """Flat per-atom cycle list (index-aligned with the atoms)."""
+        return self.costs.cycles
 
     @property
     def atom_weight_bytes(self) -> list[int]:
-        """Flat per-atom weight-traffic list (see :attr:`atom_cycles`)."""
-        if self._atom_weight_bytes is None:
-            table = self.costs
-            if isinstance(table, AtomCostTable):
-                self._atom_weight_bytes = table.weight_bytes
-            else:
-                self._atom_weight_bytes = [c.weight_bytes for c in table]
-        return self._atom_weight_bytes
+        """Flat per-atom weight-traffic list."""
+        return self.costs.weight_bytes
 
     @property
     def atom_ofmap_bytes(self) -> list[int]:
-        """Flat per-atom output-traffic list (see :attr:`atom_cycles`)."""
-        if self._atom_ofmap_bytes is None:
-            table = self.costs
-            if isinstance(table, AtomCostTable):
-                self._atom_ofmap_bytes = table.ofmap_bytes
-            else:
-                self._atom_ofmap_bytes = [c.ofmap_bytes for c in table]
-        return self._atom_ofmap_bytes
+        """Flat per-atom output-traffic list."""
+        return self.costs.ofmap_bytes
 
     def index_of(self, atom_id: AtomId) -> int:
         """Dense index of an atom by identity.
@@ -142,11 +215,30 @@ class AtomicDAG:
         Atoms of the same layer covering the same output-channel tile share
         one weight slice; scheduling them on one engine reuses it.
         """
-        if self.atom_weight_bytes[atom_index] == 0:
+        channel_tile = self.as_list("atom_weight_slice")[atom_index]
+        if channel_tile < 0:
             return None
-        atom = self.atoms[atom_index]
-        grid = self.grids[atom.layer]
-        return (atom.layer, atom.region.c[0] // grid.tile.co)
+        return (self.as_list("atom_layer")[atom_index], channel_tile)
+
+    @cached_property
+    def weight_slots(self) -> tuple[list[int], list[tuple[int, int]]]:
+        """Weight slices numbered densely: ``(slot per atom, key per slot)``.
+
+        An atom's slot is -1 when it is weightless; ``key[slot]`` is the
+        slot's :meth:`weight_key`.  Slots follow ascending (layer, channel
+        tile), so hot loops index lists instead of hashing key tuples.
+        """
+        sliced = self.atom_weight_slice
+        weighted = sliced >= 0
+        stride = max(int(sliced.max()) + 1, 1) if len(sliced) else 1
+        codes, inverse = np.unique(
+            self.atom_layer[weighted] * stride + sliced[weighted],
+            return_inverse=True,
+        )
+        slot_of = np.full(self.num_atoms, -1, dtype=np.int64)
+        slot_of[weighted] = inverse
+        keys = [(int(c) // stride, int(c) % stride) for c in codes]
+        return slot_of.tolist(), keys
 
     def total_compute_cycles(self) -> int:
         """Sum of per-atom engine cycles (the serial lower bound's numerator)."""
@@ -154,7 +246,7 @@ class AtomicDAG:
 
     def indegrees(self) -> list[int]:
         """Fresh indegree array for scheduler initialization."""
-        return [len(p) for p in self.preds]
+        return np.diff(self.pred_ptr).tolist()
 
     def validate(self) -> None:
         """Check structural invariants.
@@ -178,6 +270,46 @@ class AtomicDAG:
             covered = sum(r.num_elements for r in grid.regions())
             if covered != grid.shape.num_elements:
                 raise ValueError(f"layer {layer} tiles do not cover its output")
+
+
+#: The lazily derived object views of :class:`AtomicDAG`.
+OBJECT_VIEWS = frozenset(
+    {"atoms", "preds", "succs", "edge_bytes", "dram_input_bytes"}
+)
+
+
+def _rows(ptr: np.ndarray, ids: np.ndarray) -> list[tuple[int, ...]]:
+    """CSR rows as one tuple per atom."""
+    flat = ids.tolist()
+    bounds = ptr.tolist()
+    return [tuple(flat[lo:hi]) for lo, hi in zip(bounds, bounds[1:])]
+
+
+def row_slots(
+    ptr: np.ndarray, atoms: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """CSR slots of several atoms' rows, concatenated in ``atoms`` order.
+
+    Returns ``(slots, counts)``: index ``slots`` into a CSR side's id and
+    byte arrays; ``counts[i]`` is the length of ``atoms[i]``'s row.
+    """
+    lo = ptr[atoms]
+    counts = ptr[atoms + 1] - lo
+    slots = np.arange(int(counts.sum()), dtype=np.int64) + np.repeat(
+        lo - (np.cumsum(counts) - counts), counts
+    )
+    return slots, counts
+
+
+def _row_sums(ptr: np.ndarray, values: np.ndarray) -> np.ndarray:
+    """Per-row sums of a CSR value array (exact, empty rows give 0)."""
+    prefix = np.concatenate(([0], np.cumsum(values, dtype=np.int64)))
+    return prefix[ptr[1:]] - prefix[ptr[:-1]]
+
+
+def _ints(parts: list[np.ndarray]) -> np.ndarray:
+    """Concatenate int64 parts (an empty list gives an empty array)."""
+    return np.concatenate(parts) if parts else np.zeros(0, dtype=np.int64)
 
 
 def build_atomic_dag(
@@ -204,12 +336,10 @@ def build_atomic_dag(
     if batch <= 0:
         raise ValueError("batch must be positive")
 
-    dag = AtomicDAG(graph=graph, batch=batch)
-    dag.layer_depth = graph.depths()
-
     layer_nodes = [n for n in graph.nodes if not isinstance(n.op, Input)]
     input_ids = {n.node_id for n in graph.nodes if isinstance(n.op, Input)}
 
+    grids: dict[int, TileGrid] = {}
     for node in layer_nodes:
         shape = node.output_shape
         in_shapes = graph.input_shapes(node.node_id)
@@ -218,59 +348,63 @@ def build_atomic_dag(
             node.node_id,
             TileSize(shape.height, shape.width, max(in_channels, 1), shape.channels),
         )
-        dag.grids[node.node_id] = grid_for(shape, tile, in_channels)
+        grids[node.node_id] = grid_for(shape, tile, in_channels)
 
     # Price each layer's whole tile lattice in one vectorized kernel call;
-    # batch samples share the same tiles, so one pricing serves them all
-    # (the scalar path's memo produced the same sharing, query by query).
+    # batch samples share the same tiles, so one pricing serves them all.
+    # Sample 0's atoms are laid out layer by layer from ``base_of``.
     kernel = cost_model.kernel
     bounds_of: dict[int, np.ndarray] = {}
-    columns_of: dict[int, tuple] = {}
+    base_of: dict[int, int] = {}
+    columns_of: list[tuple] = []
+    weight_parts: list[np.ndarray] = []
+    slice_parts: list[np.ndarray] = []
+    per_sample = 0
     for node in layer_nodes:
-        bounds = grid_bounds(dag.grids[node.node_id])
+        grid = grids[node.node_id]
+        bounds = grid_bounds(grid)
         bounds_of[node.node_id] = bounds
+        base_of[node.node_id] = per_sample
+        per_sample += len(bounds)
         in_shapes = graph.input_shapes(node.node_id)
         arrays = kernel.price_regions(node.op, in_shapes, bounds)
-        columns_of[node.node_id] = (
-            arrays.cycles.tolist(),
-            arrays.macs.tolist(),
-            arrays.pe_utilization.tolist(),
-            arrays.uses_pe_array,
-            arrays.ifmap_bytes.tolist(),
-            arrays.weight_bytes.tolist(),
-            arrays.ofmap_bytes.tolist(),
+        columns_of.append(
+            (
+                arrays.cycles.tolist(),
+                arrays.macs.tolist(),
+                arrays.pe_utilization.tolist(),
+                arrays.uses_pe_array,
+                arrays.ifmap_bytes.tolist(),
+                arrays.weight_bytes.tolist(),
+                arrays.ofmap_bytes.tolist(),
+            )
         )
+        weights = np.asarray(arrays.weight_bytes, dtype=np.int64)
+        weight_parts.append(weights)
+        # Atoms covering the same output-channel tile share a weight slice.
+        channel_tile = np.arange(len(bounds), dtype=np.int64) % grid.tiles_c
+        slice_parts.append(np.where(weights > 0, channel_tile, -1))
 
     table = AtomCostTable()
-    dag.costs = table
-    for sample in range(batch):
-        for node in layer_nodes:
-            grid = dag.grids[node.node_id]
-            dag._base[(sample, node.node_id)] = len(dag.atoms)
-            for x in range(grid.num_tiles):
-                region = grid.region(x)
-                dag.atoms.append(Atom(AtomId(sample, node.node_id, x), region))
-            table.extend_columns(*columns_of[node.node_id])
-    num = dag.num_atoms
-    dag.preds = [()] * num
-    dag.succs = [()] * num
-    dag.dram_input_bytes = [0] * num
-    dag._atom_cycles = table.cycles
-    dag._atom_weight_bytes = table.weight_bytes
+    for _ in range(batch):
+        for columns in columns_of:
+            table.extend_columns(*columns)
 
-    # Edges, derived for sample 0 and replicated: the atom layout is
-    # sample-major with identical per-sample blocks, so every index shifts
-    # by a fixed stride per sample.
-    per_sample = num // batch
-    succs_mut: list[list[int]] = [[] for _ in range(num)]
+    # Edges of sample 0, consumer-major: layers are visited in layout
+    # order and each layer's edges sort by (consumer, producer), so the
+    # concatenation is already the pred side of the CSR.
     bpe = cost_model.bytes_per_element
+    dram0 = np.zeros(per_sample, dtype=np.int64)
+    cons_layers: list[np.ndarray] = []
+    prod_layers: list[np.ndarray] = []
+    byte_layers: list[np.ndarray] = []
     for node in layer_nodes:
         in_shapes = graph.input_shapes(node.node_id)
         statics = kernel.statics(node.op, in_shapes)
         bounds = bounds_of[node.node_id]
-        base0 = dag._base[(0, node.node_id)]
+        base0 = base_of[node.node_id]
         n_tiles = len(bounds)
-        dram = np.zeros(n_tiles, dtype=np.int64)
+        dram = dram0[base0 : base0 + n_tiles]
         cons_parts: list[np.ndarray] = []
         prod_parts: list[np.ndarray] = []
         byte_parts: list[np.ndarray] = []
@@ -291,7 +425,7 @@ def build_atomic_dag(
                     (h_hi - h_lo + 1) * (w_hi - w_lo + 1) * (c_hi - c_lo + 1)
                 ) * bpe
                 continue
-            src_grid = dag.grids[src]
+            src_grid = grids[src]
             src_shape = src_grid.shape
             th, tw, tc = src_grid.tile.h, src_grid.tile.w, src_grid.tile.co
             # Clip to the producer tensor (tiles_covering's clipped_to).
@@ -341,16 +475,9 @@ def build_atomic_dag(
                 + 1
             )
             cons_parts.append(sel[rep])
-            prod_parts.append(p_local + dag._base[(0, src)])
+            prod_parts.append(p_local + base_of[src])
             byte_parts.append(ov_h * ov_w * ov_c * bpe)
 
-        if dram.any():
-            dram_list = dram.tolist()
-            for sample in range(batch):
-                off = sample * per_sample + base0
-                for x, nbytes in enumerate(dram_list):
-                    if nbytes:
-                        dag.dram_input_bytes[off + x] = nbytes
         if not cons_parts:
             continue
         cons = np.concatenate(cons_parts)
@@ -358,35 +485,73 @@ def build_atomic_dag(
         nbytes_all = np.concatenate(byte_parts)
         # Merge duplicate (consumer, producer) pairs — a consumer may read
         # one producer atom through several inputs — and sort by consumer
-        # then producer, reproducing the scalar builder's accumulation into
-        # a dict followed by tuple(sorted(...)).
+        # then producer.
         order = np.lexsort((prod, cons))
         cons, prod, nbytes_all = cons[order], prod[order], nbytes_all[order]
         fresh = np.concatenate(
             ([True], (cons[1:] != cons[:-1]) | (prod[1:] != prod[:-1]))
         )
         starts = np.nonzero(fresh)[0]
-        merged_bytes = np.add.reduceat(nbytes_all, starts)
-        cons_u = cons[starts]
-        prod_u = prod[starts]
-        group_starts = np.nonzero(
-            np.concatenate(([True], cons_u[1:] != cons_u[:-1]))
-        )[0]
-        group_ends = np.concatenate((group_starts[1:], [len(cons_u)]))
-        cons_list = cons_u[group_starts].tolist()
-        prod_list = prod_u.tolist()
-        bytes_list = merged_bytes.tolist()
-        gs_list = group_starts.tolist()
-        ge_list = group_ends.tolist()
-        for sample in range(batch):
-            shift = sample * per_sample
-            gi_base = base0 + shift
-            for c_local, lo, hi in zip(cons_list, gs_list, ge_list):
-                gi = gi_base + c_local
-                preds = tuple(p + shift for p in prod_list[lo:hi])
-                dag.preds[gi] = preds
-                for p, nb in zip(preds, bytes_list[lo:hi]):
-                    succs_mut[p].append(gi)
-                    dag.edge_bytes[(p, gi)] = nb
-    dag.succs = [tuple(s) for s in succs_mut]
+        cons_layers.append(cons[starts] + base0)
+        prod_layers.append(prod[starts])
+        byte_layers.append(np.add.reduceat(nbytes_all, starts))
+
+    # Samples are identical blocks of ``per_sample`` atoms: every index of
+    # sample s shifts by s * per_sample.
+    cons0 = _ints(cons_layers)
+    prod0 = _ints(prod_layers)
+    bytes0 = _ints(byte_layers)
+    num = per_sample * batch
+    shift = np.repeat(
+        np.arange(batch, dtype=np.int64) * per_sample, len(cons0)
+    )
+    consumers = np.tile(cons0, batch) + shift
+    pred_ids = np.tile(prod0, batch) + shift
+    pred_bytes = np.tile(bytes0, batch)
+    pred_ptr = np.zeros(num + 1, dtype=np.int64)
+    np.cumsum(np.bincount(consumers, minlength=num), out=pred_ptr[1:])
+    # Stable by producer: each succ row keeps its consumers ascending.
+    by_producer = np.argsort(pred_ids, kind="stable")
+    succ_ptr = np.zeros(num + 1, dtype=np.int64)
+    np.cumsum(np.bincount(pred_ids, minlength=num), out=succ_ptr[1:])
+
+    layer_ids = [node.node_id for node in layer_nodes]
+    tiles = [len(bounds_of[layer]) for layer in layer_ids]
+    ptr0 = np.zeros(per_sample + 1, dtype=np.int64)
+    np.cumsum(np.bincount(cons0, minlength=per_sample), out=ptr0[1:])
+    weights0 = _ints(weight_parts)
+    incoming0 = _row_sums(ptr0, bytes0) + weights0
+
+    dag = AtomicDAG(
+        graph=graph,
+        batch=batch,
+        grids=grids,
+        layer_depth=graph.depths(),
+        costs=table,
+        pred_ptr=pred_ptr,
+        pred_ids=pred_ids,
+        pred_bytes=pred_bytes,
+        succ_ptr=succ_ptr,
+        succ_ids=consumers[by_producer],
+        succ_bytes=pred_bytes[by_producer],
+        atom_sample=np.repeat(np.arange(batch, dtype=np.int64), per_sample),
+        atom_layer=np.tile(
+            np.repeat(np.asarray(layer_ids, dtype=np.int64), tiles), batch
+        ),
+        atom_tile=np.tile(
+            _ints([np.arange(n, dtype=np.int64) for n in tiles]), batch
+        ),
+        atom_bounds=np.tile(
+            np.concatenate([bounds_of[layer] for layer in layer_ids])
+            if layer_ids
+            else np.zeros((0, 6), dtype=np.int64),
+            (batch, 1),
+        ),
+        atom_weight_slice=np.tile(_ints(slice_parts), batch),
+        atom_incoming_bytes=np.tile(incoming0, batch),
+        atom_dram_bytes=np.tile(dram0, batch),
+    )
+    for sample in range(batch):
+        for layer in layer_ids:
+            dag._base[(sample, layer)] = sample * per_sample + base_of[layer]
     return dag

@@ -16,6 +16,8 @@ from bisect import bisect_left
 from dataclasses import dataclass
 from typing import Hashable
 
+import numpy as np
+
 from repro.atoms.dag import AtomicDAG
 from repro.memory.buffer import EngineBuffer
 from repro.scheduling.rounds import Schedule
@@ -52,24 +54,31 @@ class BufferPolicy:
 
     def __init__(self, dag: AtomicDAG, schedule: Schedule) -> None:
         self.dag = dag
-        self.atom_round = schedule.atom_round()
-        # Atom -> sorted Rounds in which its consumers execute.
-        self._consumer_rounds: dict[int, list[int]] = {}
-        for a in range(dag.num_atoms):
-            rounds = sorted(self.atom_round[s] for s in dag.succs[a])
-            if rounds:
-                self._consumer_rounds[a] = rounds
-        #: Atom -> its weight slice (``AtomicDAG.weight_key``), or None.
-        self.weight_keys: list[tuple[int, int] | None] = [
-            dag.weight_key(a) for a in range(dag.num_atoms)
-        ]
+        #: Atom -> the Round it executes in (-1 if unscheduled).
+        self.round_of = schedule.round_index(dag.num_atoms)
+        rounds = np.asarray(self.round_of, dtype=np.int64)
+        # Rounds in which each atom's consumers execute, sorted within the
+        # atom's succ row: ``_use_rounds[ptr[a]:ptr[a + 1]]``.
+        ptr = dag.succ_ptr
+        owner = np.repeat(np.arange(dag.num_atoms, dtype=np.int64), np.diff(ptr))
+        use = rounds[dag.succ_ids]
+        self._use_ptr: list[int] = ptr.tolist()
+        self._use_rounds: list[int] = use[np.lexsort((use, owner))].tolist()
+        #: Atom -> dense weight-slice id (-1 if weightless), and each id's
+        #: ``AtomicDAG.weight_key``.
+        self.weight_slot, self.weight_slot_keys = dag.weight_slots
         # Weight key -> sorted Rounds in which an atom needing it executes.
-        self._weight_rounds: dict[tuple[int, int], list[int]] = {}
-        for a, wk in enumerate(self.weight_keys):
-            if wk is not None:
-                self._weight_rounds.setdefault(wk, []).append(self.atom_round[a])
-        for rounds in self._weight_rounds.values():
-            rounds.sort()
+        slot = np.asarray(self.weight_slot, dtype=np.int64)
+        users = np.flatnonzero(slot >= 0)
+        by_slot = users[np.lexsort((rounds[users], slot[users]))]
+        bounds = np.searchsorted(
+            slot[by_slot], np.arange(len(self.weight_slot_keys) + 1)
+        ).tolist()
+        ordered = rounds[by_slot].tolist()
+        self._weight_rounds: dict[tuple[int, int], list[int]] = {
+            key: ordered[lo:hi]
+            for key, lo, hi in zip(self.weight_slot_keys, bounds, bounds[1:])
+        }
 
     def next_use(self, key: Hashable, t0: int) -> int | None:
         """Earliest Round >= ``t0`` that reads this entry, or None.
@@ -79,10 +88,12 @@ class BufferPolicy:
         """
         if isinstance(key, tuple) and len(key) == 3 and key[0] == "w":
             rounds = self._weight_rounds.get((key[1], key[2]), [])
-        else:
-            rounds = self._consumer_rounds.get(key, [])  # type: ignore[arg-type]
-        i = bisect_left(rounds, t0)
-        return rounds[i] if i < len(rounds) else None
+            i = bisect_left(rounds, t0)
+            return rounds[i] if i < len(rounds) else None
+        rounds = self._use_rounds
+        hi = self._use_ptr[key + 1]  # type: ignore[operator]
+        i = bisect_left(rounds, t0, self._use_ptr[key], hi)  # type: ignore[index]
+        return rounds[i] if i < hi else None
 
     def release_dead(self, buffer: EngineBuffer, t0: int) -> list[Eviction]:
         """Free every entry with no use at or after Round ``t0`` (lines 8-12).

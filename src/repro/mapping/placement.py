@@ -25,7 +25,7 @@ from itertools import permutations
 import numpy as np
 
 from repro.atoms.dag import AtomicDAG
-from repro.mapping.transfer_cost import round_cost_matrix, round_transfer_cost
+from repro.mapping.transfer_cost import cost_matrix, round_transfer_cost
 from repro.noc.mesh import Mesh2D
 from repro.scheduling.rounds import Schedule
 
@@ -50,13 +50,12 @@ def zigzag_placement(
 
 
 def _group_by_layer(
-    dag: AtomicDAG, atoms: tuple[int, ...]
+    sample_of: list[int], layer_of: list[int], atoms: tuple[int, ...]
 ) -> list[list[int]]:
     """Round atoms grouped by (sample, layer), preserving intra-layer order."""
     groups: dict[tuple[int, int], list[int]] = {}
     for a in atoms:
-        atom = dag.atoms[a]
-        groups.setdefault((atom.sample, atom.layer), []).append(a)
+        groups.setdefault((sample_of[a], layer_of[a]), []).append(a)
     return list(groups.values())
 
 
@@ -77,13 +76,23 @@ def optimized_placement(
     """
     order = mesh.zigzag_order()
     placement: dict[int, int] = {}
-    weight_home: dict[tuple[int, int], int] = {}
+    engine_of = np.full(dag.num_atoms, -1, dtype=np.int64)
+    slot_of, slot_keys = dag.weight_slots
+    weight_home = [-1] * len(slot_keys)
+    sample_of = dag.as_list("atom_sample")
+    layer_of = dag.as_list("atom_layer")
+    incoming = dag.as_list("atom_incoming_bytes")
     for rnd in schedule.rounds:
         atoms = rnd.atom_indices
-        groups = _group_by_layer(dag, atoms)
+        groups = _group_by_layer(sample_of, layer_of, atoms)
         slots = order[: len(atoms)]
-        matrix, const = round_cost_matrix(
-            dag, mesh, placement, atoms, slots, weight_home
+        weight_src = np.fromiter(
+            (-2 if slot_of[a] < 0 else weight_home[slot_of[a]] for a in atoms),
+            dtype=np.int64,
+            count=len(atoms),
+        )
+        matrix, const = cost_matrix(
+            dag, mesh, engine_of, atoms, slots, weight_src
         )
         row_of = {a: i for i, a in enumerate(atoms)}
         cols = np.arange(len(atoms), dtype=np.int64)
@@ -98,7 +107,7 @@ def optimized_placement(
 
         candidates = [
             list(atoms),  # zig-zag as-is: optimal for slot-aligned chains
-            _greedy_assignment(dag, atoms, matrix, row_of),
+            _greedy_assignment(incoming, atoms, matrix, row_of),
         ]
         if 1 < len(groups) <= MAX_PERMUTATION_LAYERS:
             candidates.append(
@@ -107,9 +116,10 @@ def optimized_placement(
         assignment = min(candidates, key=cost_of)
         for a, e in zip(assignment, slots):
             placement[a] = e
-            wk = dag.weight_key(a)
-            if wk is not None and wk not in weight_home:
-                weight_home[wk] = e
+            slot = slot_of[a]
+            if slot >= 0 and weight_home[slot] < 0:
+                weight_home[slot] = e
+        engine_of[assignment] = slots
     return placement
 
 
@@ -156,35 +166,27 @@ def _best_permutation(
 
 
 def _greedy_assignment(
-    dag: AtomicDAG,
+    incoming: list[int],
     atoms: tuple[int, ...],
     matrix: np.ndarray,
     row_of: dict[int, int],
 ) -> list[int]:
     """Assign heaviest-traffic atoms first to their cheapest free engine.
 
-    Columns of ``matrix`` follow the Round's zig-zag slot order, so the
-    free-engine scan is a row gather + argmin (first minimum wins, like
-    ``min`` over the ordered free list did).
+    ``incoming`` is the DAG's per-atom incoming-bytes column (edge
+    payloads plus the weight slice).  Columns of ``matrix`` follow the
+    Round's zig-zag slot order, so the free-engine scan is a ``min`` over
+    the free columns in that order (first minimum wins).
     """
-    weight_bytes = dag.atom_weight_bytes
-
-    def incoming(a: int) -> int:
-        total = sum(dag.edge_bytes[(p, a)] for p in dag.preds[a])
-        if dag.weight_key(a) is not None:
-            total += weight_bytes[a]
-        return total
-
-    remaining = sorted(atoms, key=incoming, reverse=True)
+    remaining = sorted(atoms, key=incoming.__getitem__, reverse=True)
+    costs = matrix.tolist()
     free = list(range(len(atoms)))  # column indices, in zig-zag slot order
-    col_of: dict[int, int] = {}
+    atom_at: dict[int, int] = {}
     for a in remaining:
-        row = matrix[row_of[a]]
-        best_col = free[int(np.argmin(row[free]))]
-        col_of[a] = best_col
+        best_col = min(free, key=costs[row_of[a]].__getitem__)
+        atom_at[best_col] = a
         free.remove(best_col)
     # Re-express as an atom ordering over the zig-zag slots.
-    atom_at = {col: a for a, col in col_of.items()}
     return [atom_at[col] for col in range(len(atoms))]
 
 

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.atoms.dag import AtomicDAG
+from repro.atoms.dag import AtomicDAG, row_slots
 from repro.noc.mesh import Mesh2D
 
 
@@ -24,43 +24,101 @@ DRAM_HOP_PENALTY = 8
 
 def _gather_round_traffic(
     dag: AtomicDAG,
-    placement: dict[int, int],
+    engine_of: np.ndarray,
     round_atoms: tuple[int, ...],
-    weight_home: dict[tuple[int, int], int] | None,
-) -> tuple[list[int], list[int], list[int], int]:
+    weight_src: np.ndarray | None,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, int]:
     """Flatten one Round's incoming traffic into parallel arrays.
 
+    ``engine_of`` holds the engine of every atom placed in earlier Rounds
+    (-1 elsewhere); ``weight_src`` the engine each Round atom pulls its
+    weight slice from (-1 for a homeless slice, -2 for a weightless atom),
+    or None to leave weights out.
+
     Returns ``(rows, srcs, nbytes, dram_const)``: one entry per transfer
-    whose source engine is known (``rows[k]`` indexes into ``round_atoms``),
-    plus the slot-independent DRAM constant (spilled predecessors and
-    homeless weight slices, charged :data:`DRAM_HOP_PENALTY` per byte).
+    whose source engine is known (``rows[k]`` indexes into
+    ``round_atoms``), plus the slot-independent DRAM constant (spilled
+    predecessors and homeless weight slices, charged
+    :data:`DRAM_HOP_PENALTY` per byte).
     """
-    rows: list[int] = []
-    srcs: list[int] = []
-    sizes: list[int] = []
-    const = 0
-    weight_bytes = dag.atom_weight_bytes
-    for i, atom in enumerate(round_atoms):
-        for p in dag.preds[atom]:
-            nbytes = dag.edge_bytes[(p, atom)]
-            src = placement.get(p)
-            if src is None:
-                const += DRAM_HOP_PENALTY * nbytes
-            else:
-                rows.append(i)
-                srcs.append(src)
-                sizes.append(nbytes)
-        if weight_home is not None:
-            wk = dag.weight_key(atom)
-            if wk is not None:
-                home = weight_home.get(wk)
-                if home is None:
-                    const += DRAM_HOP_PENALTY * weight_bytes[atom]
-                else:
-                    rows.append(i)
-                    srcs.append(home)
-                    sizes.append(weight_bytes[atom])
+    edges, counts = row_slots(
+        dag.pred_ptr, np.asarray(round_atoms, dtype=np.int64)
+    )
+    rows = np.repeat(np.arange(len(round_atoms), dtype=np.int64), counts)
+    srcs = engine_of[dag.pred_ids[edges]]
+    sizes = dag.pred_bytes[edges]
+    placed = srcs >= 0
+    const = DRAM_HOP_PENALTY * int(sizes[~placed].sum())
+    rows, srcs, sizes = rows[placed], srcs[placed], sizes[placed]
+    if weight_src is not None:
+        weight_bytes = dag.atom_weight_bytes
+        weights = np.fromiter(
+            (weight_bytes[a] for a in round_atoms),
+            dtype=np.int64,
+            count=len(round_atoms),
+        )
+        const += DRAM_HOP_PENALTY * int(weights[weight_src == -1].sum())
+        homed = np.flatnonzero(weight_src >= 0)
+        rows = np.concatenate((rows, homed))
+        srcs = np.concatenate((srcs, weight_src[homed]))
+        sizes = np.concatenate((sizes, weights[homed]))
     return rows, srcs, sizes, const
+
+
+def _engine_array(dag: AtomicDAG, placement: dict[int, int]) -> np.ndarray:
+    """``placement`` as an engine-per-atom array (-1 where unplaced)."""
+    engine_of = np.full(dag.num_atoms, -1, dtype=np.int64)
+    if placement:
+        engine_of[list(placement)] = list(placement.values())
+    return engine_of
+
+
+def _weight_sources(
+    dag: AtomicDAG,
+    round_atoms: tuple[int, ...],
+    weight_home: dict[tuple[int, int], int] | None,
+) -> np.ndarray | None:
+    """Per Round atom: its slice's home engine, -1 homeless, -2 weightless."""
+    if weight_home is None:
+        return None
+    keys = map(dag.weight_key, round_atoms)
+    return np.fromiter(
+        (-2 if wk is None else weight_home.get(wk, -1) for wk in keys),
+        dtype=np.int64,
+        count=len(round_atoms),
+    )
+
+
+def cost_matrix(
+    dag: AtomicDAG,
+    mesh: Mesh2D,
+    engine_of: np.ndarray,
+    round_atoms: tuple[int, ...],
+    slots: tuple[int, ...],
+    weight_src: np.ndarray | None,
+) -> tuple[np.ndarray, int]:
+    """:func:`round_cost_matrix` over array state (the mapper's hot path).
+
+    The bytes each Round atom pulls from each engine are summed first (one
+    sort and ``reduceat`` over ``(atom, source)`` keys); the matrix is then
+    that ``(atom, engine)`` table times the hop distances from every
+    engine to each slot, in exact int64 arithmetic.
+    """
+    rows, srcs, sizes, const = _gather_round_traffic(
+        dag, engine_of, round_atoms, weight_src
+    )
+    if not len(rows):
+        return np.zeros((len(round_atoms), len(slots)), dtype=np.int64), const
+    dist = mesh.distance_array()
+    engines = len(dist)
+    key = rows * engines + srcs
+    order = np.argsort(key, kind="stable")
+    key = key[order]
+    starts = np.flatnonzero(np.concatenate(([True], key[1:] != key[:-1])))
+    pulled = np.zeros(len(round_atoms) * engines, dtype=np.int64)
+    pulled[key[starts]] = np.add.reduceat(sizes[order], starts)
+    hops = dist[:, np.asarray(slots, dtype=np.int64)]
+    return pulled.reshape(len(round_atoms), engines) @ hops, const
 
 
 def round_cost_matrix(
@@ -81,20 +139,14 @@ def round_cost_matrix(
     mapper price zig-zag, greedy, and all layer permutations off one
     matrix instead of re-walking edges per candidate.
     """
-    rows, srcs, sizes, const = _gather_round_traffic(
-        dag, placement, round_atoms, weight_home
+    return cost_matrix(
+        dag,
+        mesh,
+        _engine_array(dag, placement),
+        round_atoms,
+        slots,
+        _weight_sources(dag, round_atoms, weight_home),
     )
-    matrix = np.zeros((len(round_atoms), len(slots)), dtype=np.int64)
-    if rows:
-        dist = mesh.distance_array()
-        contrib = (
-            dist[np.asarray(srcs, dtype=np.int64)][
-                :, np.asarray(slots, dtype=np.int64)
-            ]
-            * np.asarray(sizes, dtype=np.int64)[:, None]
-        )
-        np.add.at(matrix, np.asarray(rows, dtype=np.int64), contrib)
-    return matrix, const
 
 
 def round_transfer_cost(
@@ -125,12 +177,13 @@ def round_transfer_cost(
         it must not bias the slot assignment.
     """
     rows, srcs, sizes, total = _gather_round_traffic(
-        dag, placement, round_atoms, weight_home
+        dag,
+        _engine_array(dag, placement),
+        round_atoms,
+        _weight_sources(dag, round_atoms, weight_home),
     )
-    if rows:
+    if len(rows):
         dist = mesh.distance_array()
-        dsts = [slots[i] for i in rows]
-        total += int(
-            (dist[srcs, dsts] * np.asarray(sizes, dtype=np.int64)).sum()
-        )
+        dsts = np.asarray(slots, dtype=np.int64)[rows]
+        total += int((dist[srcs, dsts] * sizes).sum())
     return total

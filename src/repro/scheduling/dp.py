@@ -20,7 +20,6 @@ communication estimate) via ``round_cost_fn``.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import combinations
 from typing import Callable
 
@@ -39,53 +38,6 @@ def default_round_cost(dag: AtomicDAG, combo: tuple[int, ...]) -> float:
     """Synchronized Round cost: cycles of the slowest chosen atom."""
     cycles = dag.atom_cycles
     return float(max(cycles[a] for a in combo))
-
-
-@dataclass
-class _Undo:
-    """Inverse record of one :meth:`SchedulerState.commit`."""
-
-    chosen: tuple[int, ...]
-    became_ready: tuple[int, ...]
-
-
-def _commit_with_undo(state: SchedulerState, chosen: tuple[int, ...]) -> _Undo:
-    became_ready: list[int] = []
-    for a in chosen:
-        state.scheduled[a] = True
-        state.ready.discard(a)
-        state.remaining -= 1
-        state.round_of[a] = state.rounds_committed
-        atom = state.dag.atoms[a]
-        state.layer_remaining[(atom.sample, atom.layer)] -= 1
-        state.layer_started.add((atom.sample, atom.layer))
-    for a in chosen:
-        for s in state.dag.succs[a]:
-            state.indegree[s] -= 1
-            if state.indegree[s] == 0 and not state.scheduled[s]:
-                state.ready.add(s)
-                became_ready.append(s)
-    state.rounds_committed += 1
-    return _Undo(chosen=chosen, became_ready=tuple(became_ready))
-
-
-def _uncommit(state: SchedulerState, undo: _Undo) -> None:
-    state.rounds_committed -= 1
-    for s in undo.became_ready:
-        state.ready.discard(s)
-    for a in undo.chosen:
-        for s in state.dag.succs[a]:
-            state.indegree[s] += 1
-    for a in undo.chosen:
-        state.scheduled[a] = False
-        state.ready.add(a)
-        state.remaining += 1
-        state.round_of[a] = -1
-        atom = state.dag.atoms[a]
-        key = (atom.sample, atom.layer)
-        state.layer_remaining[key] += 1
-        if state.layer_remaining[key] == state.dag.grids[atom.layer].num_tiles:
-            state.layer_started.discard(key)
 
 
 class SearchBudgetExceeded(RuntimeError):
@@ -136,9 +88,9 @@ def schedule_exact_dp(
         max_k = min(num_engines, len(ready))
         for k in range(1, max_k + 1):
             for combo in combinations(ready, k):
-                undo = _commit_with_undo(state, combo)
+                undo = state.commit(combo)
                 cost = round_cost_fn(dag, combo) + solve()
-                _uncommit(state, undo)
+                state.undo(undo)
                 if cost < best:
                     best, best_combo = cost, combo
         table[key] = (best, best_combo)
@@ -208,7 +160,7 @@ def schedule_pruned(
         left = remaining - sum(atom_cycles[a] for a in combo)
         if depth == 0 or state.remaining == len(combo):
             return cost + remainder_bound(left)
-        undo = _commit_with_undo(state, combo)
+        undo = state.commit(combo)
         options = candidate_combinations(state, num_engines, max_options)
         if options:
             best_next = min(
@@ -216,7 +168,7 @@ def schedule_pruned(
             )
         else:
             best_next = remainder_bound(left)
-        _uncommit(state, undo)
+        state.undo(undo)
         return cost + best_next
 
     schedule = Schedule()

@@ -17,12 +17,37 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from repro.atoms.dag import AtomicDAG
+import numpy as np
+
+from repro.atoms.dag import AtomicDAG, row_slots
+
+
+@dataclass(frozen=True)
+class RoundUndo:
+    """What :meth:`SchedulerState.undo` needs to reverse one commit.
+
+    Attributes:
+        chosen: The committed Round's atoms.
+        became_ready: Successors the commit moved into the ready set.
+        touched: Every successor of the chosen atoms, ascending.
+        reads: How many chosen atoms each touched successor reads.
+        fresh: Each touched successor's ``(round, bytes)`` fresh-bytes
+            entry as it was before the commit, flattened.
+    """
+
+    chosen: tuple[int, ...]
+    became_ready: tuple[int, ...]
+    touched: list[int]
+    reads: list[int]
+    fresh: list[int]
 
 
 @dataclass
 class SchedulerState:
     """Mutable bookkeeping shared by the priority rules and the searchers.
+
+    Atoms of one (sample, layer) pair are a contiguous *block* of the DAG's
+    dense layout; rule 1 and rule 2 reason about blocks.
 
     Attributes:
         dag: The atomic DAG being scheduled.
@@ -30,10 +55,9 @@ class SchedulerState:
         ready: Atom indices whose dependencies have all completed.
         scheduled: Flags per atom.
         remaining: Count of unscheduled atoms.
-        layer_remaining: (sample, layer) -> unscheduled atom count.
-        layer_started: (sample, layer) pairs with at least one atom scheduled.
         round_of: Round index each scheduled atom ran in (-1 = unscheduled).
         rounds_committed: Rounds committed so far (the next Round's index).
+        in_progress: Blocks with some, but not all, atoms scheduled.
     """
 
     dag: AtomicDAG
@@ -41,23 +65,45 @@ class SchedulerState:
     ready: set[int] = field(init=False)
     scheduled: list[bool] = field(init=False)
     remaining: int = field(init=False)
-    layer_remaining: dict[tuple[int, int], int] = field(init=False)
-    layer_started: set[tuple[int, int]] = field(init=False)
     round_of: list[int] = field(init=False)
     rounds_committed: int = field(init=False)
+    in_progress: set[int] = field(init=False)
 
     def __post_init__(self) -> None:
-        self.indegree = self.dag.indegrees()
+        dag = self.dag
+        n = dag.num_atoms
+        self.indegree = dag.indegrees()
         self.ready = {i for i, d in enumerate(self.indegree) if d == 0}
-        self.scheduled = [False] * self.dag.num_atoms
-        self.remaining = self.dag.num_atoms
-        self.layer_remaining = {}
-        for atom in self.dag.atoms:
-            key = (atom.sample, atom.layer)
-            self.layer_remaining[key] = self.layer_remaining.get(key, 0) + 1
-        self.layer_started = set()
-        self.round_of = [-1] * self.dag.num_atoms
+        self.scheduled = [False] * n
+        self.remaining = n
+        self.round_of = [-1] * n
         self.rounds_committed = 0
+        self.in_progress = set()
+
+        sample = dag.atom_sample
+        layer = dag.atom_layer
+        # Block boundaries: wherever the (sample, layer) pair changes.
+        boundary = np.ones(n, dtype=bool)
+        boundary[1:] = (layer[1:] != layer[:-1]) | (sample[1:] != sample[:-1])
+        starts = np.flatnonzero(boundary)
+        block = np.cumsum(boundary) - 1
+        self.block_of: list[int] = block.tolist()
+        self.block_remaining: list[int] = np.bincount(block).tolist()
+        self._block_size = list(self.block_remaining)
+        depth = dag.layer_depth
+        self._block_depth = [depth[lyr] for lyr in layer[starts].tolist()]
+        self._depth_of = [self._block_depth[b] for b in self.block_of]
+        self._sample_of: list[int] = dag.as_list("atom_sample")
+        self._sample_remaining = np.bincount(sample, minlength=dag.batch).tolist()
+        # Priority lists sort by (sample, layer, tile index); one integer
+        # rank per atom encodes that order.
+        rank = np.empty(n, dtype=np.int64)
+        rank[np.lexsort((dag.atom_tile, layer, sample))] = np.arange(n)
+        self.sort_rank: list[int] = rank.tolist()
+        # Bytes each atom would receive from the last committed Round: the
+        # entry counts only while its round tag is that Round.
+        self._fresh_bytes = [0] * n
+        self._fresh_round = [-1] * n
 
     def blocking_bytes(self, atom: int) -> int:
         """Bytes ``atom`` must receive from the *previous* Round if run now.
@@ -67,45 +113,136 @@ class SchedulerState:
         transfer behind compute (the communication term of Algorithm 2's
         round cost).
         """
-        last = self.rounds_committed - 1
-        return sum(
-            self.dag.edge_bytes[(p, atom)]
-            for p in self.dag.preds[atom]
-            if self.round_of[p] == last
-        )
+        if self._fresh_round[atom] == self.rounds_committed - 1:
+            return self._fresh_bytes[atom]
+        return 0
 
     def current_sample(self) -> int:
         """Smallest sample index with unscheduled atoms (rule 4's 'current')."""
-        pending = [s for (s, _), n in self.layer_remaining.items() if n > 0]
-        return min(pending) if pending else 0
+        for sample, left in enumerate(self._sample_remaining):
+            if left:
+                return sample
+        return 0
 
-    def commit(self, chosen: tuple[int, ...]) -> None:
+    def commit(self, chosen: tuple[int, ...]) -> RoundUndo:
         """Mark a Round's atoms as executed and grow the ready set.
 
         Successors become ready only after the full Round commits, matching
         Round-synchronized execution.
 
+        Returns:
+            The record :meth:`undo` takes to reverse this commit.
+
         Raises:
             ValueError: If a chosen atom is not ready or already scheduled.
         """
+        scheduled = self.scheduled
+        ready = self.ready
         for a in chosen:
-            if self.scheduled[a] or a not in self.ready:
+            if scheduled[a] or a not in ready:
                 raise ValueError(f"atom {a} is not schedulable now")
+        t = self.rounds_committed
+        round_of = self.round_of
+        block_of = self.block_of
+        block_remaining = self.block_remaining
+        in_progress = self.in_progress
+        sample_remaining = self._sample_remaining
+        sample_of = self._sample_of
         for a in chosen:
-            self.scheduled[a] = True
-            self.ready.discard(a)
-            self.remaining -= 1
-            self.round_of[a] = self.rounds_committed
-            atom = self.dag.atoms[a]
-            key = (atom.sample, atom.layer)
-            self.layer_remaining[key] -= 1
-            self.layer_started.add(key)
-        for a in chosen:
-            for s in self.dag.succs[a]:
-                self.indegree[s] -= 1
-                if self.indegree[s] == 0 and not self.scheduled[s]:
-                    self.ready.add(s)
-        self.rounds_committed += 1
+            scheduled[a] = True
+            ready.discard(a)
+            round_of[a] = t
+            b = block_of[a]
+            left = block_remaining[b] - 1
+            block_remaining[b] = left
+            if left:
+                in_progress.add(b)
+            else:
+                in_progress.discard(b)
+            sample_remaining[sample_of[a]] -= 1
+        self.remaining -= len(chosen)
+
+        touched, reads, fresh = self._successor_rows(chosen)
+        indegree = self.indegree
+        fresh_bytes = self._fresh_bytes
+        fresh_round = self._fresh_round
+        became_ready: list[int] = []
+        saved: list[int] = []
+        for s, n_reads, nbytes in zip(touched, reads, fresh):
+            saved += (fresh_round[s], fresh_bytes[s])
+            fresh_round[s] = t
+            fresh_bytes[s] = nbytes
+            d = indegree[s] - n_reads
+            indegree[s] = d
+            if d == 0 and not scheduled[s]:
+                ready.add(s)
+                became_ready.append(s)
+        self.rounds_committed = t + 1
+        return RoundUndo(
+            chosen=chosen,
+            became_ready=tuple(became_ready),
+            touched=touched,
+            reads=reads,
+            fresh=saved,
+        )
+
+    def _successor_rows(
+        self, chosen: tuple[int, ...]
+    ) -> tuple[list[int], list[int], list[int]]:
+        """The chosen atoms' succ CSR rows, merged per successor.
+
+        Returns ``(successors ascending, edges from the chosen atoms into
+        each, bytes those edges carry)``.
+        """
+        dag = self.dag
+        edges, _ = row_slots(dag.succ_ptr, np.asarray(chosen, dtype=np.int64))
+        if not len(edges):
+            return [], [], []
+        succ = dag.succ_ids[edges]
+        order = np.argsort(succ, kind="stable")
+        succ = succ[order]
+        starts = np.flatnonzero(
+            np.concatenate(([True], succ[1:] != succ[:-1]))
+        )
+        reads = np.diff(np.concatenate((starts, [len(succ)])))
+        nbytes = np.add.reduceat(dag.succ_bytes[edges][order], starts)
+        return succ[starts].tolist(), reads.tolist(), nbytes.tolist()
+
+    def undo(self, record: RoundUndo) -> None:
+        """Reverse the most recent :meth:`commit` exactly."""
+        self.rounds_committed -= 1
+        ready = self.ready
+        for s in record.became_ready:
+            ready.discard(s)
+        indegree = self.indegree
+        fresh_bytes = self._fresh_bytes
+        fresh_round = self._fresh_round
+        saved = record.fresh
+        for i, (s, n_reads) in enumerate(zip(record.touched, record.reads)):
+            indegree[s] += n_reads
+            fresh_round[s] = saved[2 * i]
+            fresh_bytes[s] = saved[2 * i + 1]
+        scheduled = self.scheduled
+        round_of = self.round_of
+        block_of = self.block_of
+        block_remaining = self.block_remaining
+        block_size = self._block_size
+        in_progress = self.in_progress
+        sample_remaining = self._sample_remaining
+        sample_of = self._sample_of
+        for a in record.chosen:
+            scheduled[a] = False
+            ready.add(a)
+            round_of[a] = -1
+            b = block_of[a]
+            left = block_remaining[b] + 1
+            block_remaining[b] = left
+            if left == block_size[b]:
+                in_progress.discard(b)
+            else:
+                in_progress.add(b)
+            sample_remaining[sample_of[a]] += 1
+        self.remaining += len(record.chosen)
 
     def snapshot_key(self) -> frozenset[int]:
         """Hashable identity of the untraversed sub-DAG (the DP Table key)."""
@@ -119,37 +256,33 @@ def classify_ready(state: SchedulerState) -> tuple[list[int], ...]:
 
     Returns:
         Four lists of atom indices (level 1..4), each sorted by
-        (layer, tile index) for determinism.
+        (sample, layer, tile index) for determinism.
     """
-    dag = state.dag
     current = state.current_sample()
-    in_progress = {
-        key for key in state.layer_started if state.layer_remaining[key] > 0
-    }
-    active_depths = {dag.layer_depth[layer] for (_, layer) in in_progress}
+    in_progress = state.in_progress
+    block_depth = state._block_depth
+    active_depths = {block_depth[b] for b in in_progress}
+    sample_of = state._sample_of
+    block_of = state.block_of
+    depth_of = state._depth_of
 
     level1: list[int] = []
     level2: list[int] = []
     level3: list[int] = []
     level4: list[int] = []
     for a in state.ready:
-        atom = dag.atoms[a]
-        key = (atom.sample, atom.layer)
-        if atom.sample != current:
+        if sample_of[a] != current:
             level4.append(a)
-        elif key in in_progress:
+        elif block_of[a] in in_progress:
             level1.append(a)
-        elif dag.layer_depth[atom.layer] in active_depths:
+        elif depth_of[a] in active_depths:
             level2.append(a)
         else:
             level3.append(a)
-    def order(a: int) -> tuple[int, int, int]:
-        atom = dag.atoms[a]
-        # Sample-major within a level: waves of consecutive samples stay
-        # contiguous, so producer and consumer Rounds keep the same slot
-        # alignment (level 4 holds several pending samples at once).
-        return (atom.sample, atom.layer, atom.atom_id.index)
-
+    # Sample-major within a level: waves of consecutive samples stay
+    # contiguous, so producer and consumer Rounds keep the same slot
+    # alignment (level 4 holds several pending samples at once).
+    order = state.sort_rank.__getitem__
     for lst in (level1, level2, level3, level4):
         lst.sort(key=order)
     return level1, level2, level3, level4
@@ -215,7 +348,8 @@ def candidate_combinations(
     if mature and len(mature) != len(flat):
         fill = mature[:num_engines]
         if len(fill) < num_engines:
-            fill += [a for a in flat if a not in set(fill)][
+            taken = set(fill)
+            fill += [a for a in flat if a not in taken][
                 : num_engines - len(fill)
             ]
         push(fill)

@@ -10,6 +10,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
+import numpy as np
+
 from repro.atoms.dag import AtomicDAG
 
 
@@ -49,16 +51,29 @@ class Schedule:
             a: r.index for r in self.rounds for a in r.atom_indices
         }
 
+    def round_index(self, num_atoms: int) -> list[int]:
+        """Round each atom executes in, by atom index (-1 if unscheduled)."""
+        out = [-1] * num_atoms
+        for r in self.rounds:
+            for a in r.atom_indices:
+                out[a] = r.index
+        return out
+
     def validate(self, dag: AtomicDAG, num_engines: int) -> None:
         """Check schedule feasibility against a DAG.
 
         Verified: every atom appears exactly once, no Round exceeds the
         engine count, and every dependency resolves in an earlier Round.
+        The dependency check runs over the DAG's pred CSR in one pass and
+        reports the first violation in schedule order.
 
         Raises:
             ValueError: On any violation.
         """
-        seen: dict[int, int] = {}
+        n = dag.num_atoms
+        seen = bytearray(n)
+        order: list[int] = []
+        rounds: list[int] = []
         for r in self.rounds:
             if len(r.atom_indices) == 0:
                 raise ValueError(f"round {r.index} is empty")
@@ -68,20 +83,31 @@ class Schedule:
                     f"on {num_engines} engines"
                 )
             for a in r.atom_indices:
-                if a in seen:
+                if not 0 <= a < n:
+                    raise ValueError(f"atom {a} is not in the DAG")
+                if seen[a]:
                     raise ValueError(f"atom {a} scheduled twice")
-                seen[a] = r.index
-        if len(seen) != dag.num_atoms:
+                seen[a] = 1
+            order.extend(r.atom_indices)
+            rounds.extend([r.index] * len(r.atom_indices))
+        if len(order) != n:
+            raise ValueError(f"schedule covers {len(order)} of {n} atoms")
+        round_of = np.empty(n, dtype=np.int64)
+        round_of[order] = rounds
+        consumer_round = np.repeat(round_of, np.diff(dag.pred_ptr))
+        late = np.flatnonzero(round_of[dag.pred_ids] >= consumer_round)
+        if len(late):
+            # The first violation in schedule order, preds ascending.
+            position = np.empty(n, dtype=np.int64)
+            position[order] = np.arange(n)
+            consumers = np.searchsorted(dag.pred_ptr, late, side="right") - 1
+            first = int(np.argmin(position[consumers]))
+            a = int(consumers[first])
+            p = int(dag.pred_ids[late[first]])
             raise ValueError(
-                f"schedule covers {len(seen)} of {dag.num_atoms} atoms"
+                f"atom {a} in round {int(round_of[a])} depends on atom {p} "
+                f"in round {int(round_of[p])}"
             )
-        for a, t in seen.items():
-            for p in dag.preds[a]:
-                if seen[p] >= t:
-                    raise ValueError(
-                        f"atom {a} in round {t} depends on atom {p} in "
-                        f"round {seen[p]}"
-                    )
 
     def compute_cycles(self, dag: AtomicDAG) -> int:
         """Total compute cycles: sum over Rounds of the slowest atom.
@@ -109,7 +135,7 @@ def layer_sequential_schedule(
     """
     schedule = Schedule()
     t = 0
-    layer_ids = sorted({a.layer for a in dag.atoms})
+    layer_ids = np.unique(dag.atom_layer).tolist()
     pending: list[int] = []
 
     def flush(force: bool) -> None:

@@ -18,10 +18,12 @@ Timing model per Round ``t`` (double buffering):
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
-from repro.atoms.dag import AtomicDAG
+from repro.atoms.atom import AtomId
+from repro.atoms.dag import AtomicDAG, row_slots
 from repro.atoms.table import AtomCostTable
 from repro.buffering.policy import BufferPolicy, weight_entry_key
 from repro.config import ArchConfig, EnergyConfig
@@ -87,17 +89,43 @@ class RoundTrace:
         return "dram"
 
 
+_NO_MOVES = np.zeros(0, dtype=np.int64)
+
+
+class _Movements(NamedTuple):
+    """One overlap class's NoC movements as int64 columns, in issue order.
+
+    The analytical path prices the columns as they are; :class:`Transfer`
+    objects are built only for the wormhole model and timelines.
+    """
+
+    src: np.ndarray = _NO_MOVES
+    dst: np.ndarray = _NO_MOVES
+    size: np.ndarray = _NO_MOVES
+
+    def transfers(self) -> list[Transfer]:
+        """:class:`Transfer` objects for the consumers that walk them."""
+        return [
+            Transfer(src, dst, size)
+            for src, dst, size in zip(
+                self.src.tolist(), self.dst.tolist(), self.size.tolist()
+            )
+        ]
+
+
 @dataclass
 class _RoundIO:
     """Accumulated I/O of one Round, split by overlap class.
 
-    NoC movements are ``(src, dst, bytes)`` rows in issue order; the
-    analytical path prices them as columns, and :class:`Transfer` objects
-    are built only for the wormhole model and timelines.
+    The in-order pass over the Round's atoms (weights, then outputs) keeps
+    ``position`` at the atom it is processing and records, by position,
+    the weight pulls it issues and the atom outputs it evicts; the input
+    gather then runs once for the whole Round (see
+    :meth:`SystemSimulator._gather_inputs`).
     """
 
-    blocking_transfers: list[tuple[int, int, int]] = field(default_factory=list)
-    prefetch_transfers: list[tuple[int, int, int]] = field(default_factory=list)
+    blocking: _Movements = _Movements()
+    prefetch: _Movements = _Movements()
     blocking_dram_bytes: int = 0
     blocking_dram_requests: int = 0
     prefetch_dram_bytes: int = 0
@@ -105,6 +133,13 @@ class _RoundIO:
     writeback_bytes: int = 0
     onchip_bytes: int = 0
     offchip_bytes: int = 0
+    position: int = 0
+    pull_src: list[int] = field(default_factory=list)
+    pull_dst: list[int] = field(default_factory=list)
+    pull_size: list[int] = field(default_factory=list)
+    pull_at: list[int] = field(default_factory=list)
+    evicted: list[int] = field(default_factory=list)
+    evicted_at: list[int] = field(default_factory=list)
 
 
 @dataclass
@@ -114,22 +149,31 @@ class _SimState:
     ``atom_location`` and ``weight_locations`` mirror the buffers exactly:
     entries are added on every store and dropped on every eviction, so a
     location lookup replaces a buffer-membership check per edge.
+
+    Attributes:
+        round_of: Round of each atom, by atom index.
+        atom_location: Engine holding each atom's output (-1: not on-chip).
+        weight_locations: Engines holding each weight slice, by slice id.
+        weight_slot_of: Weight-entry key ``("w", layer, tile)`` -> slice id.
+        evicted_at: Work array, by atom: the Round position that evicted
+            its output (``_NOT_EVICTED`` outside :meth:`_gather_inputs`).
+        succ_ptr: The DAG's succ CSR pointers as a list.
     """
 
-    atom_round: dict[int, int]
+    round_of: np.ndarray
     buffers: list[EngineBuffer]
     policy: BufferPolicy
     distance_to: tuple[tuple[int, ...], ...]
     weight_limit: int
-    atom_location: dict[int, int] = field(default_factory=dict)
-    weight_locations: dict[tuple[int, int], set[int]] = field(
-        default_factory=dict
-    )
+    atom_location: np.ndarray
+    weight_locations: list[set[int]]
+    weight_slot_of: dict[tuple[str, int, int], int]
+    evicted_at: np.ndarray
+    succ_ptr: list[int]
 
 
-def _transfer_objects(rows: list[tuple[int, int, int]]) -> list[Transfer]:
-    """:class:`Transfer` objects for the consumers that walk them."""
-    return [Transfer(src, dst, size) for src, dst, size in rows]
+#: ``_SimState.evicted_at`` of an output no atom of the Round evicted.
+_NOT_EVICTED = np.iinfo(np.int64).max
 
 
 class SystemSimulator:
@@ -169,19 +213,17 @@ class SystemSimulator:
             else None
         )
 
-    def _noc_cost(
-        self, rows: list[tuple[int, int, int]]
-    ) -> tuple[NocRoundCost, int]:
+    def _noc_cost(self, moves: _Movements) -> tuple[NocRoundCost, int]:
         """Analytical cost of one transfer class and its Round NoC delay.
 
         The delay comes from the selected fidelity model; the analytical
         cost always supplies energy and hop volume.
         """
-        cost = self.noc.round_cost_columns(*zip(*rows)) if rows else _NO_NOC
-        if self._wormhole is not None and rows:
-            return cost, self._wormhole.simulate(
-                _transfer_objects(rows)
-            ).makespan
+        if not len(moves.src):
+            return _NO_NOC, 0
+        cost = self.noc.round_cost_columns(moves.src, moves.dst, moves.size)
+        if self._wormhole is not None:
+            return cost, self._wormhole.simulate(moves.transfers()).makespan
         return cost, cost.cycles
 
     def run(self, schedule: Schedule, placement: dict[int, int]) -> RunResult:
@@ -249,16 +291,24 @@ class SystemSimulator:
         policy = BufferPolicy(dag, schedule)
         buffers = make_buffers(arch.num_engines, arch.engine.buffer_bytes)
         hbm = HbmModel(arch.hbm, arch.energy, arch.engine.frequency_hz)
-        table = _cost_table(dag)
+        table = dag.costs
         atom_mac_pj, atom_sram_pj = _atom_energies(table, arch.energy)
         state = _SimState(
-            atom_round=policy.atom_round,
+            round_of=np.asarray(policy.round_of, dtype=np.int64),
             buffers=buffers,
             policy=policy,
             # Transposed, so ``distance_to[engine][h]`` is
             # ``hop_distance(h, engine)`` on any topology.
             distance_to=tuple(zip(*self.mesh.distance_matrix())),
             weight_limit=arch.engine.buffer_bytes // WEIGHT_RESIDENCY_FRACTION,
+            atom_location=np.full(dag.num_atoms, -1, dtype=np.int64),
+            weight_locations=[set() for _ in policy.weight_slot_keys],
+            weight_slot_of={
+                weight_entry_key(*key): slot
+                for slot, key in enumerate(policy.weight_slot_keys)
+            },
+            evicted_at=np.full(dag.num_atoms, _NOT_EVICTED, dtype=np.int64),
+            succ_ptr=dag.as_list("succ_ptr"),
         )
 
         total_cycles = 0
@@ -292,22 +342,33 @@ class SystemSimulator:
             ):
                 io = _RoundIO()
                 t = rnd.index
-                for a in rnd.atom_indices:
+                atoms = np.asarray(rnd.atom_indices, dtype=np.int64)
+                edges, reads = row_slots(dag.pred_ptr, atoms)
+                preds = dag.pred_ids[edges]
+                # Where each input sits before this Round's stores and
+                # evictions; the input gather reads it after them.
+                located = state.atom_location[preds]
+                engines = []
+                for position, a in enumerate(rnd.atom_indices):
                     engine = placement[a]
-                    self._gather_inputs(a, engine, t, state, io)
+                    engines.append(engine)
+                    io.position = position
                     self._gather_weights(a, engine, t, state, io)
                     self._store_output(a, engine, t, state, io)
                     mac_energy_pj += atom_mac_pj[a]
                     sram_energy_pj += atom_sram_pj[a]
                     if uses_pe_array[a]:
                         total_macs_pe += macs[a]
+                self._gather_inputs(
+                    atoms, engines, edges, reads, preds, located, t, state, io
+                )
 
                 compute = max(atom_cycles[a] for a in rnd.atom_indices)
                 blocking_noc, blocking_noc_cycles = self._noc_cost(
-                    io.blocking_transfers
+                    io.blocking
                 )
                 prefetch_noc, prefetch_noc_cycles = self._noc_cost(
-                    io.prefetch_transfers
+                    io.prefetch
                 )
                 blocking_dram = hbm.batch_cycles(
                     io.blocking_dram_bytes, io.blocking_dram_requests
@@ -437,6 +498,9 @@ class SystemSimulator:
         are the raw (pre-burst-rounding) payloads the Round moved.
         """
         dag = self.dag
+        sample_of = dag.as_list("atom_sample")
+        layer_of = dag.as_list("atom_layer")
+        tile_of = dag.as_list("atom_tile")
         stall = blocking_noc_cycles + blocking_dram
         tl_rounds.append(
             RoundWindow(
@@ -456,7 +520,7 @@ class SystemSimulator:
                     engine=placement[a],
                     round_index=rnd.index,
                     atom=a,
-                    label=str(dag.atoms[a].atom_id),
+                    label=str(AtomId(sample_of[a], layer_of[a], tile_of[a])),
                     start=round_start + stall,
                     duration=table.cycles[a],
                     macs=table.macs[a],
@@ -464,7 +528,7 @@ class SystemSimulator:
                 )
             )
         occupancy = self.noc.link_occupancy(
-            _transfer_objects(io.blocking_transfers + io.prefetch_transfers)
+            io.blocking.transfers() + io.prefetch.transfers()
         )
         for (src, dst), busy in sorted(occupancy.items()):
             tl_links.append(LinkSample(rnd.index, src, dst, busy))
@@ -487,68 +551,94 @@ class SystemSimulator:
     # ------------------------------------------------------------- internals
 
     def _gather_inputs(
-        self, a: int, engine: int, t: int, state: _SimState, io: _RoundIO
+        self,
+        atoms: np.ndarray,
+        engines: list[int],
+        edges: np.ndarray,
+        reads: np.ndarray,
+        preds: np.ndarray,
+        located: np.ndarray,
+        t: int,
+        state: _SimState,
+        io: _RoundIO,
     ) -> None:
-        """Resolve where each input tile comes from and charge the movement.
+        """Resolve where every input tile of a Round comes from, and charge it.
 
         Network inputs always stream from DRAM (prefetchable).  Produced
         tiles come from the local buffer (free), a remote buffer (NoC), or
         DRAM if they were spilled; data produced in the immediately
         preceding Round cannot be prefetched and blocks.
+
+        The Round's atoms are processed in order, each gathering its
+        inputs before its weight and output can evict anything, so an
+        input is on-chip where it was at the start of the Round
+        (``located``) unless an *earlier* atom of the Round evicted it.
+        The pred-CSR rows of all the Round's atoms (``edges``, ``reads``
+        per atom, producers ``preds``) are classified at once, and the
+        NoC movements keep the order in which atoms issue them, one atom
+        after another: an atom's input pulls, in pred order, then its
+        weight pull.
         """
         dag = self.dag
-        if dag.dram_input_bytes[a]:
-            io.prefetch_dram_bytes += dag.dram_input_bytes[a]
-            io.prefetch_dram_requests += 1
-        edge_bytes = dag.edge_bytes
-        atom_round = state.atom_round
-        atom_location = state.atom_location
-        onchip = offchip = 0
-        for p in dag.preds[a]:
-            nbytes = edge_bytes[(p, a)]
-            if nbytes == 0:
-                continue
-            blocking = atom_round[p] == t - 1
-            # atom_location mirrors the buffers: a hit is still on-chip.
-            loc = atom_location.get(p)
-            if loc is not None:
-                onchip += nbytes
-                if loc == engine:
-                    continue
-                if blocking:
-                    io.blocking_transfers.append((loc, engine, nbytes))
-                else:
-                    io.prefetch_transfers.append((loc, engine, nbytes))
-            else:
-                # Spilled to DRAM earlier; read it back.
-                if blocking:
-                    io.blocking_dram_bytes += nbytes
-                    io.blocking_dram_requests += 1
-                else:
-                    io.prefetch_dram_bytes += nbytes
-                    io.prefetch_dram_requests += 1
-                offchip += nbytes
-        io.onchip_bytes += onchip
-        io.offchip_bytes += offchip
+        dram_inputs = dag.atom_dram_bytes[atoms]
+        io.prefetch_dram_bytes += int(dram_inputs.sum())
+        io.prefetch_dram_requests += int(np.count_nonzero(dram_inputs))
+        rows = np.repeat(np.arange(len(atoms), dtype=np.int64), reads)
+        if io.evicted:
+            evicted = np.asarray(io.evicted, dtype=np.int64)
+            state.evicted_at[evicted] = io.evicted_at
+            located = np.where(state.evicted_at[preds] < rows, -1, located)
+            state.evicted_at[evicted] = _NOT_EVICTED
+        sizes = dag.pred_bytes[edges]
+        blocking = state.round_of[preds] == t - 1
+        live = sizes > 0
+        onchip = live & (located >= 0)
+        offchip = live & (located < 0)
+        io.onchip_bytes += int(sizes[onchip].sum())
+        io.offchip_bytes += int(sizes[offchip].sum())
+        spilled = offchip & blocking
+        io.blocking_dram_bytes += int(sizes[spilled].sum())
+        io.blocking_dram_requests += int(np.count_nonzero(spilled))
+        spilled = offchip & ~blocking
+        io.prefetch_dram_bytes += int(sizes[spilled].sum())
+        io.prefetch_dram_requests += int(np.count_nonzero(spilled))
+        dst = np.asarray(engines, dtype=np.int64)[rows]
+        moving = onchip & (located != dst)
+        pull = moving & blocking
+        io.blocking = _Movements(located[pull], dst[pull], sizes[pull])
+        pull = moving & ~blocking
+        src, dst, sizes, rows = located[pull], dst[pull], sizes[pull], rows[pull]
+        if io.pull_at:
+            order = np.argsort(
+                np.concatenate((2 * rows, 2 * np.asarray(io.pull_at) + 1)),
+                kind="stable",
+            )
+            src = np.concatenate((src, io.pull_src))[order]
+            dst = np.concatenate((dst, io.pull_dst))[order]
+            sizes = np.concatenate((sizes, io.pull_size))[order]
+        io.prefetch = _Movements(src, dst, sizes)
 
     def _gather_weights(
         self, a: int, engine: int, t: int, state: _SimState, io: _RoundIO
     ) -> None:
         """Source the atom's weight slice: local hit, remote copy, or DRAM."""
-        wk = state.policy.weight_keys[a]
-        if wk is None:
+        slot = state.policy.weight_slot[a]
+        if slot < 0:
             return
         nbytes = self.dag.atom_weight_bytes[a]
         # weight_locations mirrors the buffers: every holder is live.
-        holders = state.weight_locations.get(wk)
-        if holders and engine in holders:
+        holders = state.weight_locations[slot]
+        if engine in holders:
             io.onchip_bytes += nbytes
             return
         if holders:
             # The nearest holder; ties keep the lowest engine index.
             distance = state.distance_to[engine]
             src = min(sorted(holders), key=distance.__getitem__)
-            io.prefetch_transfers.append((src, engine, nbytes))
+            io.pull_src.append(src)
+            io.pull_dst.append(engine)
+            io.pull_size.append(nbytes)
+            io.pull_at.append(io.position)
             io.onchip_bytes += nbytes
         else:
             io.prefetch_dram_bytes += nbytes
@@ -559,8 +649,11 @@ class SystemSimulator:
             evs = state.policy.make_room(buffer, nbytes, t)
             self._apply_evictions(evs, engine, state, io)
             if buffer.fits(nbytes):
-                buffer.store(weight_entry_key(*wk), nbytes)
-                state.weight_locations.setdefault(wk, set()).add(engine)
+                buffer.store(
+                    weight_entry_key(*state.policy.weight_slot_keys[slot]),
+                    nbytes,
+                )
+                holders.add(engine)
 
     def _store_output(
         self, a: int, engine: int, t: int, state: _SimState, io: _RoundIO
@@ -571,7 +664,8 @@ class SystemSimulator:
         if nbytes == 0:
             return
         buffer = state.buffers[engine]
-        if not dag.succs[a] or nbytes > buffer.capacity_bytes:
+        succ_ptr = state.succ_ptr
+        if succ_ptr[a] == succ_ptr[a + 1] or nbytes > buffer.capacity_bytes:
             # Network output (drained off-chip, never buffered) or a tile
             # larger than the whole buffer: stream straight to DRAM.
             io.writeback_bytes += nbytes
@@ -593,22 +687,13 @@ class SystemSimulator:
         for ev in evictions:
             io.writeback_bytes += ev.writeback_bytes
             key = ev.key
-            if isinstance(key, tuple) and len(key) == 3 and key[0] == "w":
-                state.weight_locations.get((key[1], key[2]), set()).discard(
-                    engine
-                )
+            if isinstance(key, tuple):
+                slot = state.weight_slot_of[key]
+                state.weight_locations[slot].discard(engine)
             else:
-                state.atom_location.pop(key, None)
-
-
-def _cost_table(dag: AtomicDAG) -> AtomCostTable:
-    """The DAG's per-atom cost columns (hand-built DAGs hold plain lists)."""
-    if isinstance(dag.costs, AtomCostTable):
-        return dag.costs
-    table = AtomCostTable()
-    for cost in dag.costs:
-        table.append(cost)
-    return table
+                state.atom_location[key] = -1
+                io.evicted.append(key)
+                io.evicted_at.append(io.position)
 
 
 def _atom_energies(

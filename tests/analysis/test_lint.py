@@ -69,6 +69,13 @@ class TestLINT002DagMutation:
     def test_reading_flat_arrays_allowed(self):
         assert fired(FUTURE + "n = len(dag.preds[0])\n") == frozenset()
 
+    def test_csr_array_write(self):
+        assert fired(FUTURE + "dag.pred_bytes[3] = 0\n") == {"LINT002"}
+
+    def test_column_read_allowed(self):
+        src = FUTURE + "rows = dag.succ_ids[dag.succ_ptr[0]:dag.succ_ptr[1]]\n"
+        assert fired(src) == frozenset()
+
     def test_unrelated_attribute_allowed(self):
         assert fired(FUTURE + "self.results.append(r)\n") == frozenset()
 

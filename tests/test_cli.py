@@ -88,6 +88,29 @@ class TestBenchCheck:
         assert any("bit-exactness" in p for p in problems)
         assert any("winner drifted" in p for p in problems)
 
+    @pytest.mark.parametrize(
+        "drift,verdict",
+        [
+            ({"evaluated": 8}, "evaluated candidates drifted"),
+            (
+                {"cost_kernel": {"batch_calls": 648, "batch_rows": 58262}},
+                "cost-kernel work drifted",
+            ),
+        ],
+        ids=["evaluated", "cost-kernel"],
+    )
+    def test_search_count_drift_fails(self, drift, verdict):
+        from repro.bench import check_perf
+
+        counts = {
+            "evaluated": 9,
+            "cost_kernel": {"batch_calls": 648, "batch_rows": 58261},
+        }
+        reference = {**self.REFERENCE, **counts}
+        assert check_perf({**reference}, reference) == []
+        problems = check_perf({**reference, **drift}, reference)
+        assert len(problems) == 1 and verdict in problems[0]
+
     @staticmethod
     def _tempering(**overrides):
         """A one-workload tempering ledger row; ``overrides`` patch it."""

@@ -214,3 +214,47 @@ class TestOptions:
         trace = CandidateTrace(label="x", fingerprint="f")
         with pytest.raises(AttributeError):
             trace.label = "y"
+
+
+class TestArrayWalks:
+    """Build, schedule, map and simulate walk the DAG's arrays, not objects."""
+
+    def test_evaluate_materializes_no_view_and_no_atom(self, monkeypatch):
+        from repro.atoms.atom import Atom
+        from repro.atoms.dag import OBJECT_VIEWS
+        from repro.atoms.generation import layer_sequential_tiling
+        from repro.config import DEFAULT_ARCH
+        from repro.pipeline import (
+            CandidatePipeline,
+            DPSchedulingStage,
+            TransferCostMappingStage,
+        )
+
+        built = []
+        init = Atom.__init__
+
+        def counting_init(self, *args, **kwargs):
+            built.append(args)
+            init(self, *args, **kwargs)
+
+        monkeypatch.setattr(Atom, "__init__", counting_init)
+        ctx = SearchContext.create(
+            get_model("resnet50_bench"), DEFAULT_ARCH, batch=2
+        )
+        pipeline = CandidatePipeline(
+            scheduling=(DPSchedulingStage(),),
+            mapping=TransferCostMappingStage(),
+        )
+        solution = pipeline.evaluate(
+            ctx,
+            layer_sequential_tiling(ctx.graph, ctx.num_engines),
+            label="probe",
+        )
+        dag = solution.dag
+        assert solution.result.total_cycles > 0
+        assert dag.num_atoms > 0 and len(solution.placement) == dag.num_atoms
+        assert OBJECT_VIEWS & vars(dag).keys() == set()
+        assert built == []
+        # The probes see a view being derived.
+        assert len(dag.atoms) == dag.num_atoms
+        assert "atoms" in vars(dag) and len(built) == dag.num_atoms
