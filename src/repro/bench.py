@@ -16,15 +16,16 @@ Four pinned scenarios measure both:
   identically, tempering beats restarts where the ledger says it does,
   and the median per-pair wall ratio is at most 1 + :data:`WALL_SLACK`.
 * ``serve`` — the ``perf`` request through a real traced daemon with
-  ``/metrics`` attached: cold, warm (other seed), cache hit, and a hit
-  after a daemon restart on the same state dir.  Gate: the served bytes
-  equal in-process ``optimize``, both hits are byte-identical cache hits
-  at least :data:`MIN_HIT_SPEEDUP` x faster than cold, ``/metrics``
-  scrapes taken during the warm search cohere, ``service.latency.e2e``
-  counts the done jobs, every runner is alive, and tracing costs less
-  than :data:`MAX_TRACING_OVERHEAD` of the cold search.  The cold
-  request runs with no scraper polling, so its wall time is the search's
-  own.
+  ``/metrics`` attached: cold, warm (other seed), :data:`HIT_SAMPLES`
+  cache hits, and a hit after a daemon restart on the same state dir.
+  Gate: the served bytes equal in-process ``optimize``, every hit is a
+  byte-identical cache hit, the median hit is at least
+  :data:`MIN_HIT_SPEEDUP` x faster than cold, ``/metrics`` scrapes taken
+  during the warm search cohere, ``service.latency.e2e`` counts the done
+  jobs, every runner is alive, and tracing costs less than
+  :data:`MAX_TRACING_OVERHEAD` of the cold search.  The cold request
+  runs with no scraper polling, so its wall time is the search's own;
+  the row splits it by the cold job's trace spans (not gated).
 * ``profile`` — two small zoo searches at ``jobs`` 1 and 2, profiled and
   not.  Gate: all four arms decide identically, the disabled tracer costs
   less than :data:`OVERHEAD_BUDGET` of the unprofiled wall, and a sample
@@ -116,6 +117,10 @@ WALL_SLACK = 0.10
 #: A repeated request must return its byte-identical document at least
 #: this much faster than the cold search.
 MIN_HIT_SPEEDUP = 100.0
+
+#: Cache hits ``serve`` times after the warm search (odd, so the median
+#: is one sample); the speedup gate divides by their median.
+HIT_SAMPLES = 21
 
 #: Traced serving must cost less than this fraction of the cold search.
 MAX_TRACING_OVERHEAD = 0.05
@@ -461,16 +466,44 @@ def run_serve(out: Path | None) -> dict:
     finally:
         disable_tracing()
     obs = row["observability"]
+    split = row["cold_split"]
     print(
         f"serve: {PERF_MODEL} restarts={row['restarts']}: cold "
-        f"{row['cold_seconds']:.2f}s, warm {row['warm_seconds']:.2f}s, hit "
-        f"{row['cache_hit_seconds'] * 1000:.1f}ms "
-        f"({row['cache_hit_speedup_vs_cold']:.0f}x), restart hit "
+        f"{row['cold_seconds']:.2f}s (queue {split['queue_wait_s']:.2f}s, "
+        f"search {split['search_s']:.2f}s, publish {split['publish_s']:.2f}s, "
+        f"client {split['client_s']:.2f}s; direct "
+        f"{row['direct_optimize_seconds']:.2f}s), warm "
+        f"{row['warm_seconds']:.2f}s, hit median of {row['cache_hit_samples']} "
+        f"{row['cache_hit_seconds'] * 1000:.1f}ms (max "
+        f"{row['cache_hit_max_seconds'] * 1000:.1f}ms, "
+        f"{row['cache_hit_speedup_vs_cold']:.0f}x), restart hit "
         f"{row['restart_hit_seconds'] * 1000:.1f}ms; {obs['scrape_samples']} "
         f"scrapes, {obs['cold_trace_spans']} spans on the cold job, tracing "
         f"overhead {obs['traced_overhead_fraction']:.2%}"
     )
     return row
+
+
+def _cold_split(spans: list[dict], cold_wall: float) -> dict:
+    """Where the cold request's wall time went, from its span tree.
+
+    ``search_s`` is the runner's session acquire and search (candidate
+    checkpointing included), ``publish_s`` the rest of the lease (the
+    solution document and the Tier-A validated store write), and
+    ``client_s`` what the client saw beyond the job (wire round trips
+    and its wait's poll interval).
+    """
+    seconds: dict[str, float] = {}
+    for span in spans:
+        seconds.setdefault(span["name"], span["duration_us"] / 1e6)
+    return {
+        "queue_wait_s": round(seconds["service.queue_wait"], 3),
+        "search_s": round(seconds["service.search"], 3),
+        "publish_s": round(
+            seconds["service.lease"] - seconds["service.search"], 3
+        ),
+        "client_s": round(cold_wall - seconds["service.job"], 3),
+    }
 
 
 def _serve_row(tmp: Path) -> dict:
@@ -523,17 +556,22 @@ def _serve_row(tmp: Path) -> dict:
         scrape_stop.set()
         scraper.join(timeout=30)
     warm_scrapes = len(scrape_ms)
-    hit, hit_wall = daemon.submit(pinned)
+    # One hit's wall swings with the host; gate on the median of many.
+    hits = [daemon.submit(pinned) for _ in range(HIT_SAMPLES)]
+    hit_walls = [wall for _, wall in hits]
+    hit_wall = statistics.median(hit_walls)
 
-    # The exposition contract after three completed jobs: the e2e
+    # The exposition contract after the completed jobs: the e2e
     # latency histogram must count exactly the jobs /jobs calls done.
     metrics_body, metrics_wall = daemon.scrape("/metrics")
     scrape_ms.append(metrics_wall * 1000.0)
     e2e = parse_prometheus(metrics_body).histograms.get("service.latency.e2e")
     jobs_doc = json.loads(daemon.scrape("/jobs")[0])
     health_doc = json.loads(daemon.scrape("/healthz")[0])
-    # The cold job's stitched span tree sizes the overhead estimate.
-    trace_spans = len(daemon.client.trace(cold["job_id"])["spans"])
+    # The cold job's stitched span tree sizes the overhead estimate and
+    # splits its wall time.
+    cold_spans = daemon.client.trace(cold["job_id"])["spans"]
+    trace_spans = len(cold_spans)
     counters = daemon.client.stats()["counters"]
     daemon.stop()
 
@@ -556,15 +594,20 @@ def _serve_row(tmp: Path) -> dict:
         "cpu_count": os.cpu_count(),
         "direct_optimize_seconds": round(direct_wall, 3),
         "cold_seconds": round(cold_wall, 3),
+        "cold_split": _cold_split(cold_spans, cold_wall),
         "warm_seconds": round(warm_wall, 3),
         "cache_hit_seconds": round(hit_wall, 4),
+        "cache_hit_samples": len(hit_walls),
+        "cache_hit_max_seconds": round(max(hit_walls), 4),
         "restart_hit_seconds": round(restart_wall, 4),
         "cache_hit_speedup_vs_cold": round(cold_wall / hit_wall, 1),
         "min_hit_speedup": MIN_HIT_SPEEDUP,
         "warm_speedup_vs_cold": round(cold_wall / warm_wall, 2),
         "served_equals_direct": cold["solution_json"].encode() == direct_bytes,
-        "hit_source": hit["source"],
-        "hit_identical": hit["solution_json"] == cold["solution_json"],
+        "hit_source": ",".join(sorted({hit["source"] for hit, _ in hits})),
+        "hit_identical": all(
+            hit["solution_json"] == cold["solution_json"] for hit, _ in hits
+        ),
         "restart_hit_source": restart_hit["source"],
         "restart_hit_identical": (
             restart_hit["solution_json"] == cold["solution_json"]

@@ -175,14 +175,14 @@ def arch_fingerprint(arch: ArchConfig) -> str:
     return _digest(arch_to_dict(arch))
 
 
-def request_to_dict(
-    graph: Graph, arch: ArchConfig, options: Any
-) -> dict:
-    """The canonical document a request fingerprint is taken over.
+def request_head(arch: ArchConfig, options: Any) -> dict:
+    """Every input of a request fingerprint except the graph.
 
     ``options`` is an :class:`~repro.framework.OptimizerOptions` (or any
     object with a ``to_dict``) or an already-serialized options mapping;
-    :data:`EXECUTION_KEYS` are dropped either way.
+    :data:`EXECUTION_KEYS` are dropped either way.  A caller whose graph
+    is a pure function of a name (the service's zoo models) may key a
+    memo of fingerprints by this document plus that name.
     """
     if hasattr(options, "to_dict"):
         options = options.to_dict()
@@ -193,12 +193,21 @@ def request_to_dict(
         )
     return {
         "fingerprint_version": FINGERPRINT_VERSION,
-        "graph": graph_to_dict(graph),
         "arch": arch_to_dict(arch),
         "options": {
             k: v for k, v in options.items() if k not in EXECUTION_KEYS
         },
     }
+
+
+def request_to_dict(
+    graph: Graph, arch: ArchConfig, options: Any
+) -> dict:
+    """The canonical document a request fingerprint is taken over:
+    :func:`request_head` plus the graph."""
+    doc = request_head(arch, options)
+    doc["graph"] = graph_to_dict(graph)
+    return doc
 
 
 def request_fingerprint(
@@ -224,5 +233,6 @@ __all__ = [
     "graph_to_dict",
     "op_to_dict",
     "request_fingerprint",
+    "request_head",
     "request_to_dict",
 ]

@@ -1065,47 +1065,51 @@ def _run_evaluation(attempt: int, item: _EvalItem):
 # ---------------------------------------------------------------------------
 
 
+def identity_sections(
+    dag: AtomicDAG, schedule: Schedule, placement: dict[int, int]
+) -> dict:
+    """The ``tiling``, ``rounds`` and ``placement`` sections of a solution.
+
+    Atoms are named by their stable ``(sample, layer, index)`` identity,
+    read from the DAG's id columns, and the tiling is the canonical
+    (clamped) grid tiling, so the sections survive DAG-construction
+    reordering and re-bind to a rebuilt graph.  Shared by the solution
+    document and the checkpoint record.
+    """
+    sample = dag.as_list("atom_sample")
+    layer = dag.as_list("atom_layer")
+    tile = dag.as_list("atom_tile")
+    return {
+        "tiling": {
+            str(layer_id): [grid.tile.h, grid.tile.w, grid.tile.ci, grid.tile.co]
+            for layer_id, grid in dag.grids.items()
+        },
+        "rounds": [
+            [[sample[a], layer[a], tile[a]] for a in rnd.atom_indices]
+            for rnd in schedule.rounds
+        ],
+        "placement": [
+            [sample[a], layer[a], tile[a], engine]
+            for a, engine in sorted(placement.items())
+        ],
+    }
+
+
 def solution_record(solution: CandidateSolution) -> dict:
     """A completed candidate as a checkpoint-journal record.
 
-    Mirrors the stable-identity conventions of
-    :func:`repro.serialize.solution_to_dict`: atoms are referenced as
-    ``(sample, layer, index)`` triples and the tiling is the canonical
-    (clamped) grid tiling, so the record survives DAG-construction
-    reordering and re-verifies against a rebuilt graph on restore.  The
+    Its ``tiling``, ``rounds`` and ``placement`` are
+    :func:`identity_sections`, as in :func:`repro.serialize.solution_to_dict`,
+    so the record re-verifies against a rebuilt graph on restore.  The
     embedded trace is *pre-judgment* (no accept/reject reason): judgment
     depends on the full candidate set, which a partial journal does not
     know yet.
     """
-    dag = solution.dag
     trace = replace(solution.trace, accepted=False, reason="")
     return {
         "label": solution.trace.label,
         "fingerprint": solution.trace.fingerprint,
-        "tiling": {
-            str(layer): [grid.tile.h, grid.tile.w, grid.tile.ci, grid.tile.co]
-            for layer, grid in dag.grids.items()
-        },
-        "rounds": [
-            [
-                [
-                    dag.atoms[a].sample,
-                    dag.atoms[a].layer,
-                    dag.atoms[a].atom_id.index,
-                ]
-                for a in rnd.atom_indices
-            ]
-            for rnd in solution.schedule.rounds
-        ],
-        "placement": [
-            [
-                dag.atoms[a].sample,
-                dag.atoms[a].layer,
-                dag.atoms[a].atom_id.index,
-                engine,
-            ]
-            for a, engine in sorted(solution.placement.items())
-        ],
+        **identity_sections(solution.dag, solution.schedule, solution.placement),
         "tiling_energy": solution.tiling_energy,
         "result": solution.result.to_dict(),
         "trace": trace.to_dict(),

@@ -39,7 +39,7 @@ from repro.fingerprint import (  # noqa: F401  (re-exports)
 from repro.framework import OptimizationOutcome
 from repro.ir.graph import Graph
 from repro.ir.transforms import fuse_elementwise
-from repro.pipeline import CandidateTrace
+from repro.pipeline import CandidateTrace, identity_sections
 from repro.scheduling.rounds import Round, Schedule
 
 #: Format identifier embedded in every solution document.
@@ -112,35 +112,13 @@ def solution_to_dict(
             :func:`canonical_solution_bytes`.
     """
     dag = outcome.dag
-    tiling = {
-        str(layer): [grid.tile.h, grid.tile.w, grid.tile.ci, grid.tile.co]
-        for layer, grid in dag.grids.items()
-    }
-    rounds = [
-        [
-            [dag.atoms[a].sample, dag.atoms[a].layer, dag.atoms[a].atom_id.index]
-            for a in rnd.atom_indices
-        ]
-        for rnd in outcome.schedule.rounds
-    ]
-    placement = [
-        [
-            dag.atoms[a].sample,
-            dag.atoms[a].layer,
-            dag.atoms[a].atom_id.index,
-            engine,
-        ]
-        for a, engine in sorted(outcome.placement.items())
-    ]
     doc = {
         "format": FORMAT,
         "version": VERSION,
         "workload": dag.graph.name,
         "dataflow": dataflow,
         "batch": dag.batch,
-        "tiling": tiling,
-        "rounds": rounds,
-        "placement": placement,
+        **identity_sections(dag, outcome.schedule, outcome.placement),
         "metrics": {
             "total_cycles": outcome.result.total_cycles,
             "pe_utilization": outcome.result.pe_utilization,

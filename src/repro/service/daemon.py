@@ -73,11 +73,16 @@ from repro.obs.tracer import SpanRecord, get_tracer
 from repro.resilience.faults import InjectedRunnerDeath, ServiceFaultPlan
 from repro.resilience.timing import Deadline, backoff_for
 from repro.serialize import solution_to_dict
+
+# Looked up on the module at call time, as CompileRequest.fingerprint
+# does, so a wrapper installed there (the layered benchmark's tracer)
+# sees every submit's fingerprint.
+from repro.service import request as request_module
 from repro.service.admission import AdmissionController, AdmissionError
 from repro.service.client import socket_path_problem
 from repro.service.events import TRACE_FORMAT, TRACE_VERSION, EventLog
 from repro.service.jobs import JobIdAllocator, JobJournal, JobRecord
-from repro.service.request import CompileRequest
+from repro.service.request import CompileRequest, FingerprintMemo
 from repro.service.session import SessionManager
 from repro.service.store import SolutionStore
 
@@ -217,6 +222,7 @@ class ReproService:
         self._drain_lock = threading.Lock()
         self._runner_threads: dict[str, threading.Thread] = {}
         self._runner_seq = 0
+        self._fingerprints = FingerprintMemo()
         self._supervisor: threading.Thread | None = None
         (self.state_dir / "traces").mkdir(exist_ok=True)
         self._traces: dict[str, _JobTrace] = {}
@@ -968,7 +974,9 @@ class ReproService:
                 )
         try:
             request = CompileRequest.from_dict(doc)
-            fingerprint = request.fingerprint
+            fingerprint = request_module.request_fingerprint(
+                request, self._fingerprints
+            )
         except KeyError as exc:
             raise ValueError(f"unknown model {exc.args[0]!r}") from exc
         registry = get_registry()

@@ -6,11 +6,16 @@ architecture, and the search options — plus the tenant submitting it.
 Its :meth:`~CompileRequest.fingerprint` is the deterministic request
 digest from :mod:`repro.fingerprint` (graph structure + arch + decision
 options), the key of the content-addressed solution store and of job
-coalescing.
+coalescing.  :func:`request_fingerprint` takes it, through a service's
+:class:`FingerprintMemo` when given one, so a repeated request builds
+no graph.
 """
 
 from __future__ import annotations
 
+import json
+import threading
+from collections import OrderedDict
 from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Any, Mapping
@@ -19,13 +24,18 @@ from repro.config import DEFAULT_ARCH, ArchConfig
 from repro.fingerprint import (
     arch_from_dict,
     arch_to_dict,
-    request_fingerprint,
+    request_head,
 )
+from repro.fingerprint import request_fingerprint as digest_request
 from repro.framework import OptimizerOptions
 from repro.ir.graph import Graph
 
 #: Wire-form keys of a serialized request.
 _REQUEST_KEYS = frozenset({"model", "arch", "options", "tenant"})
+
+#: Request fingerprints one :class:`FingerprintMemo` remembers, least
+#: recently used first out.
+FINGERPRINT_MEMO_ENTRIES = 1024
 
 
 @dataclass(frozen=True)
@@ -68,7 +78,7 @@ class CompileRequest:
     @cached_property
     def fingerprint(self) -> str:
         """The canonical request digest (store / coalescing key)."""
-        return request_fingerprint(self.graph, self.arch, self.options)
+        return request_fingerprint(self)
 
     def to_dict(self) -> dict:
         """The pure-JSON wire form (what ``repro submit`` sends)."""
@@ -105,4 +115,73 @@ class CompileRequest:
         )
 
 
-__all__ = ["CompileRequest"]
+class FingerprintMemo:
+    """A bounded LRU map from a request, less its graph, to its fingerprint.
+
+    The key is :func:`~repro.fingerprint.request_head` (arch, decision
+    options, grammar version) plus the model name, which stands in for
+    the graph it builds; the tenant is not an input.  One memo belongs
+    to one service and is guarded by its own lock.
+    """
+
+    def __init__(self) -> None:
+        self._entries: OrderedDict[str, str] = OrderedDict()
+        self._lock = threading.Lock()
+
+    def __len__(self) -> int:
+        with self._lock:
+            return len(self._entries)
+
+    @staticmethod
+    def key(request: CompileRequest) -> str:
+        """What ``request``'s fingerprint is a pure function of.
+
+        Plain ``json.dumps`` keeps a NaN that ``canonical_json`` refuses,
+        so a NaN option keys, misses and is refused by the digest with
+        the error it always raised.
+        """
+        doc = request_head(request.arch, request.options)
+        doc["model"] = request.model
+        return json.dumps(doc, sort_keys=True, separators=(",", ":"))
+
+    def get(self, key: str) -> str | None:
+        with self._lock:
+            fingerprint = self._entries.get(key)
+            if fingerprint is not None:
+                self._entries.move_to_end(key)
+            return fingerprint
+
+    def put(self, key: str, fingerprint: str) -> None:
+        with self._lock:
+            self._entries[key] = fingerprint
+            self._entries.move_to_end(key)
+            while len(self._entries) > FINGERPRINT_MEMO_ENTRIES:
+                self._entries.popitem(last=False)
+
+
+def request_fingerprint(
+    request: CompileRequest, memo: FingerprintMemo | None = None
+) -> str:
+    """``request``'s fingerprint, looked up in ``memo`` first if given.
+
+    A remembered request builds no graph.  A miss builds the graph and
+    digests it; only a digest that succeeded is remembered, so a request
+    the digest refuses is refused again on every submit.
+
+    Raises:
+        KeyError: On an unknown model name.
+        ValueError: On options with no canonical JSON form (NaN).
+    """
+    if memo is None:
+        return digest_request(request.graph, request.arch, request.options)
+    key = memo.key(request)
+    fingerprint = memo.get(key)
+    if fingerprint is None:
+        fingerprint = digest_request(
+            request.graph, request.arch, request.options
+        )
+        memo.put(key, fingerprint)
+    return fingerprint
+
+
+__all__ = ["CompileRequest", "FingerprintMemo", "request_fingerprint"]

@@ -9,9 +9,12 @@ Layout under the store root::
 Every entry is written through :func:`repro.serialize.canonical_solution_bytes`,
 so a cache hit returns the byte-identical document the original search
 produced.  Writes are Tier-A validated (the full artifact rule set
-against a rebuilt graph); reads are integrity-checked (content digest +
-document shape) — the cheap half of AD801, which ``repro check --store``
-runs in full.
+against a rebuilt graph); reads are integrity-checked — the cheap half
+of AD801, which ``repro check --store`` runs in full.  Every read
+re-hashes the object's bytes against the index digest; the document
+shape check runs once per digest per store instance, because its
+verdict is a function of the bytes alone and a digest match means the
+bytes are the ones that passed.
 
 Eviction is LRU by a persisted monotonically increasing access sequence,
 never by wall-clock time, so `gc` decisions replay identically.
@@ -139,6 +142,9 @@ class SolutionStore:
         self._access_seq = 0
         self._tmp_seq = 0
         self._entries: dict[str, StoreEntry] = {}
+        # Content digests whose bytes passed check_solution_document in
+        # this instance; never persisted, so a reopened store re-checks.
+        self._checked: set[str] = set()
         self._load_index()
 
     # -- index persistence --------------------------------------------------
@@ -281,13 +287,15 @@ class SolutionStore:
             tmp.unlink(missing_ok=True)
             raise
         os.replace(tmp, path)
+        digest = hashlib.sha256(payload).hexdigest()
         registry = get_registry()
         with self._lock:
+            self._checked.add(digest)  # shape-checked above
             self._access_seq += 1
             self._entries[fingerprint] = StoreEntry(
                 fingerprint=fingerprint,
                 size_bytes=len(payload),
-                sha256=hashlib.sha256(payload).hexdigest(),
+                sha256=digest,
                 workload=str(doc.get("workload", "")),
                 total_cycles=int(doc["metrics"]["total_cycles"]),
                 created_seq=self._access_seq,
@@ -307,7 +315,8 @@ class SolutionStore:
         A stored object whose content digest or document shape no longer
         checks out is dropped (counted as ``store.corrupt``) and
         reported as a miss — corruption can cost a recompute, never a
-        wrong answer.
+        wrong answer.  Every read hashes the bytes it returns; the shape
+        check runs only for a digest this instance has not checked yet.
         """
         registry = get_registry()
         with self._lock:
@@ -325,11 +334,13 @@ class SolutionStore:
                 problem = "object file unreadable"
             elif hashlib.sha256(payload).hexdigest() != entry.sha256:
                 problem = "content digest mismatch"
-            else:
+            elif entry.sha256 not in self._checked:
                 try:
                     problem = check_solution_document(json.loads(payload))
                 except ValueError:
                     problem = "object is not valid JSON"
+                if problem is None:
+                    self._checked.add(entry.sha256)
             if problem is not None:
                 _log.warning(
                     "dropping corrupt store entry %s: %s", fingerprint, problem
@@ -353,7 +364,11 @@ class SolutionStore:
             return payload
 
     def _drop(self, fingerprint: str) -> None:
-        self._entries.pop(fingerprint, None)
+        entry = self._entries.pop(fingerprint, None)
+        if entry is not None:
+            # Bounds the set by what the store holds; another entry with
+            # the same bytes is checked again on its next read.
+            self._checked.discard(entry.sha256)
         self._object_path(fingerprint).unlink(missing_ok=True)
 
     def _evict_to(self, max_bytes: int) -> list[str]:

@@ -548,3 +548,176 @@ class TestWireProtocol:
         assert stats["store"]["entries"] == 1
         assert stats["jobs_by_state"]["done"] >= 1
         assert json.dumps(stats)  # JSON-serializable end to end
+
+
+class TestFingerprintMemo:
+    """Each service remembers request fingerprints; misses and refusals
+    behave as if there were no memo."""
+
+    @pytest.fixture
+    def graphs(self, monkeypatch):
+        """Every zoo graph a fingerprint built, by model name."""
+        import repro.models
+
+        built = []
+        get_model = repro.models.get_model
+
+        def counting(name):
+            built.append(name)
+            return get_model(name)
+
+        monkeypatch.setattr(repro.models, "get_model", counting)
+        return built
+
+    @staticmethod
+    def _service(state_dir):
+        """A runnerless service: submissions queue or coalesce, none runs."""
+        return ReproService(state_dir, max_queue_depth=32, default_quota=32)
+
+    @staticmethod
+    def _fingerprint_of(service, request):
+        job_id = service.submit(request.to_dict())["job_id"]
+        return service.status(job_id)["fingerprint"]
+
+    def test_repeats_build_one_graph(self, short_dir, graphs, monkeypatch):
+        import repro.service.request as request_module
+
+        lookups = []
+        lookup = request_module.request_fingerprint
+
+        def counting(request, memo=None):
+            lookups.append(request.model)
+            return lookup(request, memo)
+
+        monkeypatch.setattr(request_module, "request_fingerprint", counting)
+        service = self._service(short_dir / "s")
+        try:
+            seen = {self._fingerprint_of(service, _request()) for _ in range(5)}
+        finally:
+            service.stop()
+        # Every submit asks the module-level entry point; one builds.
+        assert len(lookups) == 5
+        assert len(graphs) == 1
+        assert seen == {_request().fingerprint}
+
+    def test_entries_shared_only_where_the_fingerprint_is(
+        self, short_dir, graphs
+    ):
+        from repro.config import ArchConfig
+
+        service = self._service(short_dir / "s")
+        try:
+            base = self._fingerprint_of(service, _request())
+            for same in (
+                _request(tenant="other"),
+                _request(jobs=2),
+                _request(retries=3, validate=True),
+            ):
+                assert self._fingerprint_of(service, same) == base
+            assert len(graphs) == 1
+            for different in (
+                _request(seed=4),
+                _request(lookahead=2),
+                _request(arch=ArchConfig(mesh_rows=2, mesh_cols=4)),
+            ):
+                assert self._fingerprint_of(service, different) != base
+            assert len(graphs) == 4
+        finally:
+            service.stop()
+
+    def test_bad_requests_refused_after_the_memo_is_filled(
+        self, short_dir, graphs
+    ):
+        service = self._service(short_dir / "s")
+        try:
+            valid = _request().to_dict()
+            service.submit(valid)
+            with pytest.raises(ValueError, match="unknown request key"):
+                service.submit({**valid, "wat": 1})
+            with pytest.raises(ValueError, match="unknown model"):
+                service.submit({**valid, "model": "no-such-model"})
+            nan = json.loads(json.dumps(valid))
+            nan["options"]["sa_params"]["temperature"] = float("nan")
+            for _ in range(2):  # refused again: nothing was remembered
+                with pytest.raises(ValueError, match="not JSON compliant"):
+                    service.submit(nan)
+            # The valid request, the unknown model and both NaN ones;
+            # the unknown key is refused before any graph is built.
+            assert graphs == [valid["model"], "no-such-model"] + [
+                valid["model"]
+            ] * 2
+        finally:
+            service.stop()
+
+    def test_memo_is_bounded_and_least_recently_used_goes(
+        self, short_dir, graphs, monkeypatch
+    ):
+        import repro.service.request as request_module
+
+        monkeypatch.setattr(request_module, "FINGERPRINT_MEMO_ENTRIES", 2)
+        service = self._service(short_dir / "s")
+
+        def submit(seed):
+            service.submit(_request(seed=seed).to_dict())
+            assert len(service._fingerprints) <= 2
+            return len(graphs)
+
+        try:
+            assert submit(10) == 1
+            assert submit(11) == 2
+            assert submit(10) == 2  # a hit, now the most recently used
+            assert submit(12) == 3  # evicts 11, the least recently used
+            assert submit(10) == 3  # still remembered
+            assert submit(11) == 4  # was evicted: built again
+            assert len(service._fingerprints) == 2
+        finally:
+            service.stop()
+
+    def test_services_do_not_share_entries(self, short_dir, graphs):
+        first = self._service(short_dir / "a")
+        second = self._service(short_dir / "b")
+        try:
+            assert self._fingerprint_of(first, _request()) == (
+                self._fingerprint_of(second, _request())
+            )
+            assert len(graphs) == 2
+        finally:
+            first.stop()
+            second.stop()
+
+    def test_concurrent_submits_keep_the_bound_and_the_answers(
+        self, short_dir, monkeypatch
+    ):
+        import sys
+
+        import repro.service.request as request_module
+
+        requests = [_request(seed=seed) for seed in (20, 21, 22)]
+        expected = [r.fingerprint for r in requests]
+        monkeypatch.setattr(request_module, "FINGERPRINT_MEMO_ENTRIES", 2)
+        service = ReproService(short_dir / "s", max_queue_depth=64, default_quota=64)
+        wrong = []
+
+        def submit_all(offset):
+            for i in range(5):
+                k = (offset + i) % len(requests)
+                got = self._fingerprint_of(service, requests[k])
+                if got != expected[k]:
+                    wrong.append((k, got))
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [
+                threading.Thread(target=submit_all, args=(n,)) for n in range(8)
+            ]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=120)
+        finally:
+            sys.setswitchinterval(interval)
+            service.stop()
+        assert not any(thread.is_alive() for thread in threads)
+        assert wrong == []
+        assert len(service._fingerprints) <= 2

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import hashlib
 import json
 
 import pytest
@@ -259,3 +260,77 @@ class TestDocumentCheck:
         mutate(clone)
         problem = check_solution_document(clone)
         assert problem is not None and expected in problem
+
+
+class TestCheckedDigests:
+    """Reads re-hash every payload; the shape check runs once per digest
+    per store instance and is never persisted."""
+
+    @pytest.fixture
+    def shape_checks(self, monkeypatch):
+        """Every call of the store's shape check, by the document it saw."""
+        import repro.service.store as store_module
+
+        calls = []
+        check = store_module.check_solution_document
+
+        def counting(doc):
+            calls.append(doc)
+            return check(doc)
+
+        monkeypatch.setattr(store_module, "check_solution_document", counting)
+        return calls
+
+    def test_second_read_skips_the_shape_check_not_the_digest(
+        self, tmp_path, solved, shape_checks
+    ):
+        *_, doc, _ = solved
+        fp = "ab" * 32
+        written = SolutionStore(tmp_path / "store").put(fp, doc)
+        store = SolutionStore(tmp_path / "store")  # knows no verdict yet
+        shape_checks.clear()
+        assert store.get(fp) == written
+        assert len(shape_checks) == 1
+        assert store.get(fp) == written
+        assert len(shape_checks) == 1
+        obj = tmp_path / "store" / "objects" / f"{fp}.json"
+        payload = bytearray(obj.read_bytes())
+        payload[10] ^= 0xFF
+        obj.write_bytes(bytes(payload))
+        assert store.get(fp) is None
+        assert fp not in store
+        assert get_registry().counter("store.corrupt").value == 1
+
+    def test_fresh_instance_checks_a_matching_digest(self, tmp_path, solved):
+        """An index edited to the digest of malformed bytes: the digest
+        matches, so only the shape check can refuse the object."""
+        *_, doc, _ = solved
+        fp = "ab" * 32
+        SolutionStore(tmp_path / "store").put(fp, doc)
+        bad = json.dumps({"format": "not-a-solution"}).encode()
+        (tmp_path / "store" / "objects" / f"{fp}.json").write_bytes(bad)
+        index_path = tmp_path / "store" / "index.json"
+        index = json.loads(index_path.read_text())
+        index["entries"][fp].update(
+            sha256=hashlib.sha256(bad).hexdigest(), size_bytes=len(bad)
+        )
+        index_path.write_text(json.dumps(index))
+        store = SolutionStore(tmp_path / "store")
+        assert fp in store
+        assert store.get(fp) is None
+        assert fp not in store
+        assert get_registry().counter("store.corrupt").value == 1
+
+    def test_put_marks_its_own_digest_checked(
+        self, tmp_path, solved, shape_checks
+    ):
+        *_, doc, _ = solved
+        store = SolutionStore(tmp_path / "store")
+        written = store.put("ab" * 32, doc)
+        assert len(shape_checks) == 1  # put's own check
+        assert store.get("ab" * 32) == written
+        assert len(shape_checks) == 1
+        # The same bytes under another key share the verdict.
+        assert store.put("cd" * 32, doc) == written
+        assert store.get("cd" * 32) == written
+        assert len(shape_checks) == 2

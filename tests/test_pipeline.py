@@ -258,3 +258,84 @@ class TestArrayWalks:
         # The probes see a view being derived.
         assert len(dag.atoms) == dag.num_atoms
         assert "atoms" in vars(dag) and len(built) == dag.num_atoms
+
+    @pytest.fixture(scope="class")
+    def probe(self):
+        """An evaluated resnet50_bench candidate at batch 2, whose trace
+        is reset to its decision fields (its wall times vary per run)."""
+        from dataclasses import replace
+
+        from repro.atoms.generation import layer_sequential_tiling
+        from repro.config import DEFAULT_ARCH
+        from repro.pipeline import (
+            CandidatePipeline,
+            DPSchedulingStage,
+            TransferCostMappingStage,
+        )
+
+        ctx = SearchContext.create(
+            get_model("resnet50_bench"), DEFAULT_ARCH, batch=2
+        )
+        pipeline = CandidatePipeline(
+            scheduling=(DPSchedulingStage(),),
+            mapping=TransferCostMappingStage(),
+        )
+        solution = pipeline.evaluate(
+            ctx,
+            layer_sequential_tiling(ctx.graph, ctx.num_engines),
+            label="probe",
+        )
+        trace = CandidateTrace(
+            label="probe",
+            fingerprint=solution.trace.fingerprint,
+            total_cycles=solution.result.total_cycles,
+        )
+        return replace(solution, trace=trace)
+
+    @staticmethod
+    def _encode(solution):
+        """(canonical store bytes, checkpoint journal line) of a candidate."""
+        import json
+
+        from repro.framework import OptimizationOutcome
+        from repro.pipeline import solution_record
+        from repro.serialize import canonical_solution_bytes, solution_to_dict
+
+        outcome = OptimizationOutcome(
+            result=solution.result,
+            dag=solution.dag,
+            schedule=solution.schedule,
+            placement=solution.placement,
+            tiling_energy=solution.tiling_energy,
+        )
+        doc = solution_to_dict(outcome, "kc", include_search=False)
+        line = json.dumps(solution_record(solution), sort_keys=True)
+        return canonical_solution_bytes(doc), line.encode()
+
+    def test_encoders_materialize_no_atom(self, probe, monkeypatch):
+        from repro.atoms.atom import Atom
+
+        built = []
+        init = Atom.__init__
+
+        def counting_init(self, *args, **kwargs):
+            built.append(args)
+            init(self, *args, **kwargs)
+
+        monkeypatch.setattr(Atom, "__init__", counting_init)
+        self._encode(probe)
+        assert built == []
+        assert "atoms" not in vars(probe.dag)
+
+    def test_encoded_bytes_are_pinned(self, probe):
+        """Digests recorded while both encoders still read ``dag.atoms``."""
+        import hashlib
+
+        doc_bytes, record_line = self._encode(probe)
+        assert (probe.dag.num_atoms, len(probe.schedule.rounds)) == (9214, 144)
+        assert hashlib.sha256(doc_bytes).hexdigest() == (
+            "00eeb96fe9b2f7eaf436a57a89260cc1e66125ee5c9c86e95cd6f6d7f59e8e13"
+        )
+        assert hashlib.sha256(record_line).hexdigest() == (
+            "ca41f9e54dd2844531c2dff842e8fac869e527d77f9ad574e56d88f5c4fa920b"
+        )
