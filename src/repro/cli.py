@@ -86,12 +86,13 @@ def _add_common(p: argparse.ArgumentParser) -> None:
     p.add_argument("--seed", type=int, default=0)
     p.add_argument(
         "--restarts", type=int, default=1,
-        help="independent SA restarts (the outer Fig. 4(b) loop)",
+        help="independent SA restarts (the outer Fig. 4(b) loop): chains "
+        "that never exchange",
     )
     p.add_argument(
         "--rungs", type=int, default=0,
-        help="parallel-tempering temperature rungs (replaces --restarts; "
-        "0 = disabled)",
+        help="parallel-tempering temperature rungs: chains that exchange "
+        "configurations (instead of --restarts; 0 = disabled)",
     )
     p.add_argument(
         "--exchange-every", type=int, default=25, metavar="ITERS",

@@ -10,8 +10,8 @@ Ties the three techniques into the paper's iterative search:
 then evaluates each candidate end-to-end on the system simulator and keeps
 the cheapest.  The search itself runs on the staged pipeline of
 :mod:`repro.pipeline`: a shared :class:`~repro.pipeline.SearchContext`,
-per-candidate RNG streams (so ``jobs=1`` and ``jobs=8`` decide
-identically), tiling-fingerprint deduplication, and a
+one annealing driver whose chains own their RNG streams (so ``jobs=1``
+and ``jobs=8`` decide identically), tiling-fingerprint deduplication, and a
 :class:`~repro.pipeline.CandidateTrace` per candidate.  Every stage can be
 swapped for its naive counterpart, which is how the Fig. 10 per-stage
 ablation is produced.
@@ -22,8 +22,6 @@ from __future__ import annotations
 import time
 from dataclasses import asdict, dataclass, field, fields, replace
 from typing import Any, Mapping
-
-import numpy as np
 
 from repro.atoms.dag import AtomicDAG
 from repro.atoms.generation import SAParams
@@ -43,7 +41,6 @@ from repro.pipeline import (
     mapping_stage_for,
     scheduling_stage_for,
     select_best,
-    tiling_stage_for,
 )
 from repro.obs.log import get_logger
 from repro.obs.tracer import get_tracer
@@ -82,25 +79,28 @@ class OptimizerOptions:
             ``"zigzag"`` (naive baseline).
         sa_params: Annealing hyperparameters.
         lookahead: DP lookahead depth.
-        restarts: Independent SA restarts; the best simulated candidate wins
-            (the outer iterative loop of Fig. 4(b)).  Mutually exclusive
-            with ``rungs`` — tempering replaces the restart loop.
-        rungs: Parallel-tempering temperature rungs (0 disables).  When
-            set, the search runs one replica-exchange ladder of this many
-            coupled annealing chains (:mod:`repro.search.tempering`)
-            instead of independent restarts; every rung's final tiling is
-            evaluated and the best simulated candidate wins.  Requires
-            ``atom_generation="sa"``.
+        restarts: Independent SA chains ``sa[i]``; the best simulated
+            candidate wins (the outer iterative loop of Fig. 4(b)).  They
+            run on the same annealing driver as ``rungs``
+            (:mod:`repro.search.tempering`), as a ladder that never
+            exchanges.  Mutually exclusive with ``rungs``.
+        rungs: Parallel-tempering temperature rungs ``pt[k]`` (0
+            disables).  When set, the driver anneals this many coupled
+            chains that exchange configurations instead of independent
+            restarts; every rung's final tiling is evaluated and the best
+            simulated candidate wins.  Requires ``atom_generation="sa"``.
         exchange_every: Iterations per tempering segment between
             neighbor-rung swap proposals.
         portfolio: Tempering proposal portfolio: ``"mixed"`` (default),
             ``"exponential"``, or ``"linear"`` — which cooling-schedule
             family the rungs run (mixed alternates by rung parity).
         seed: RNG seed for reproducibility.  Restart 0 draws from
-            ``default_rng(seed)`` (bit-compatible with earlier releases);
-            restarts 1..n-1 draw from ``SeedSequence(seed).spawn``
-            children, so outcomes are independent of evaluation order and
-            of ``jobs``.
+            ``default_rng(seed)`` (bit-compatible with earlier releases)
+            and restarts 1..n-1 from the n-1 children ``seed`` spawns;
+            rung k draws from child k of K+1 children and child K drives
+            the exchanges
+            (:meth:`~repro.search.tempering.TemperingPlan.streams`).
+            Outcomes are independent of evaluation order and of ``jobs``.
         jobs: Worker processes for candidate fan-out; 1 (default) runs
             fully inline.  Any ``jobs`` value decides identically.
         dedup: Skip scheduling/simulation of candidates whose tiling
@@ -172,7 +172,7 @@ class OptimizerOptions:
             if self.restarts > 1:
                 raise ValueError(
                     "rungs and restarts are mutually exclusive — "
-                    "tempering replaces the restart loop"
+                    "choose a tempering ladder or independent restarts"
                 )
         if self.jobs <= 0:
             raise ValueError("jobs must be positive")
@@ -439,10 +439,16 @@ class AtomicDataflowOptimizer:
         )
 
     def _tempering_plan(self) -> TemperingPlan | None:
-        """The replica-exchange plan, or None outside tempering runs."""
+        """The annealing chains: the exchanging ladder ``rungs`` asks
+        for, else ``restarts`` chains that never exchange; None when
+        no spec anneals (``atom_generation="even"``)."""
         o = self.options
-        if not o.rungs:
+        if o.atom_generation != "sa":
             return None
+        if not o.rungs:
+            return TemperingPlan(
+                rungs=o.restarts, base=o.sa_params, seed=o.seed, exchange=False
+            )
         return TemperingPlan(
             rungs=o.rungs,
             exchange_every=o.exchange_every,
@@ -452,46 +458,29 @@ class AtomicDataflowOptimizer:
         )
 
     def _candidate_specs(self) -> list[CandidateSpec]:
-        """One spec per restart or rung, plus the even-split candidate.
+        """One spec per annealing chain, plus the even-split candidate.
 
-        RNG streams: restart 0 uses ``default_rng(seed)`` directly
-        (preserving single-restart outputs of earlier releases); further
-        restarts use ``SeedSequence(seed).spawn`` children, which are
-        deterministic and order-independent — the property that makes
-        ``jobs=1`` and ``jobs=k`` bit-identical.  Tempering rung specs
-        carry no RNG source: the coordinator owns every rung's stream
-        (``SeedSequence(seed).spawn`` child k for rung k).
+        The plan names each chain (``sa[i]`` for restarts, ``pt[k]`` for
+        rungs) and owns its seed stream (:meth:`TemperingPlan.streams`).
+        With ``atom_generation="even"`` every restart is an even split.
         """
         o = self.options
         plan = self._tempering_plan()
-        if plan is not None:
-            specs = [
-                CandidateSpec(
-                    label=f"pt[{k}]",
-                    tiling_stage=SATilingStage(params=plan.rung_params(k)),
-                )
-                for k in range(plan.rungs)
+        if plan is None:
+            return [
+                CandidateSpec(label=f"even[{i}]", tiling_stage=EvenTilingStage())
+                for i in range(o.restarts)
             ]
-            specs.append(
-                CandidateSpec(label="even-split", tiling_stage=EvenTilingStage())
-            )
-            return specs
-        stage = tiling_stage_for(o.atom_generation, o.sa_params)
-        sources: list = [o.seed]
-        if o.restarts > 1:
-            sources += list(np.random.SeedSequence(o.seed).spawn(o.restarts - 1))
         specs = [
             CandidateSpec(
-                label=f"{o.atom_generation}[{i}]",
-                tiling_stage=stage,
-                rng_source=src if o.atom_generation == "sa" else None,
+                label=plan.label(k),
+                tiling_stage=SATilingStage(params=plan.rung_params(k)),
             )
-            for i, src in enumerate(sources)
+            for k in range(plan.rungs)
         ]
-        if o.atom_generation == "sa":
-            specs.append(
-                CandidateSpec(label="even-split", tiling_stage=EvenTilingStage())
-            )
+        specs.append(
+            CandidateSpec(label="even-split", tiling_stage=EvenTilingStage())
+        )
         return specs
 
     def _pipeline(self) -> CandidatePipeline:

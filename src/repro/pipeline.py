@@ -8,10 +8,10 @@ objects threaded through a shared :class:`SearchContext`, so that
 
 * shared state (fused graph, cost model, mesh) is built **once** per
   search instead of once per candidate;
-* candidate evaluation fans out across processes (``jobs=``) while staying
-  bit-identical to the serial path — per-restart RNG streams come from
-  ``np.random.SeedSequence.spawn`` and results are consumed in submission
-  order;
+* annealing chains and candidate evaluation fan out across processes
+  (``jobs=``) while staying bit-identical to the serial path — every
+  chain owns its seed stream (:meth:`~repro.search.tempering.TemperingPlan.streams`)
+  and results are consumed in submission order;
 * SA restarts that converge to the same tiling are deduplicated by a
   stable *tiling fingerprint* and scheduled/simulated once;
 * every candidate leaves a :class:`CandidateTrace` (per-stage
@@ -65,7 +65,7 @@ from repro.atoms.atom import TileSize
 from repro.resilience.checkpoint import CheckpointJournal
 from repro.resilience.executor import ResilientExecutor, RetryPolicy, TaskReport
 from repro.resilience.faults import FaultPlan
-from repro.search.tempering import TemperingError, TemperingPlan, run_tempering
+from repro.search.tempering import SEGMENT_KIND, TemperingPlan, run_tempering
 from repro.atoms.partition import clamp_tile
 from repro.config import ArchConfig
 from repro.engine.cost_model import EngineCostModel
@@ -531,10 +531,10 @@ class TilingStage:
 class SATilingStage(TilingStage):
     """Algorithm 1: simulated-annealing balanced tile sizes.
 
-    :meth:`run` anneals one independent chain (a restart).  Tempering
-    rung specs carry a stage too, with ``params`` set to that rung's
-    portfolio member, but only the tempering coordinator anneals them —
-    segment-stepped, with exchanges; their :meth:`run` is never called.
+    :meth:`run` anneals one chain to completion (Fig. 5, the examples).
+    A search never calls it: every chain of a search is stepped by the
+    annealing driver (:func:`~repro.search.tempering.run_tempering`),
+    and the chain's spec carries this stage only to name its ``params``.
     """
 
     params: SAParams = field(default_factory=SAParams)
@@ -678,15 +678,6 @@ class SimulationEvaluationStage:
     ) -> RunResult:
         sim = ctx.simulator(dag, strategy=strategy, noc_mode=self.noc_mode)
         return sim.run(schedule, placement)
-
-
-def tiling_stage_for(
-    atom_generation: str, sa_params: SAParams
-) -> TilingStage:
-    """The tiling stage an :class:`OptimizerOptions` choice names."""
-    if atom_generation == "sa":
-        return SATilingStage(params=sa_params)
-    return EvenTilingStage()
 
 
 def scheduling_stage_for(scheduler: str, lookahead: int = 1) -> SchedulingStage:
@@ -861,15 +852,15 @@ class CandidatePipeline:
 
 @dataclass(frozen=True)
 class CandidateSpec:
-    """One candidate to search: a tiling stage plus its RNG stream.
+    """One candidate to search: its label and the stage naming its tiling.
 
-    ``rng_source`` is anything ``np.random.default_rng`` accepts (an int
-    seed or a spawned ``SeedSequence``), or None for deterministic stages.
+    A chain's spec carries an :class:`SATilingStage` holding the
+    parameters the annealing driver steps that chain with; any other
+    spec's stage runs in the parent.
     """
 
     label: str
     tiling_stage: TilingStage
-    rng_source: Any = None
 
 
 class _WorkerState(threading.local):
@@ -971,16 +962,6 @@ def _unwrap_obs(value: Any) -> Any:
 
 
 @dataclass(frozen=True)
-class _TilingItem:
-    """One phase-1 payload: a tiling generation plus its supervision."""
-
-    index: int
-    stage: TilingStage
-    rng_source: Any = None
-    faults: FaultPlan | None = None
-
-
-@dataclass(frozen=True)
 class _EvalItem:
     """One phase-2 payload: an evaluation keyed back to its spec.
 
@@ -1003,28 +984,6 @@ class _EvalItem:
     rung: int | None = None
     swaps_proposed: int = 0
     swaps_accepted: int = 0
-
-
-def _run_tiling(attempt: int, item: _TilingItem):
-    """Phase-1 task: generate one candidate tiling."""
-    ctx: SearchContext = _WORKER_STATE["ctx"]
-    if item.faults is not None:
-        item.faults.fire("tiling", item.index, attempt)
-    t0 = time.perf_counter()
-    # The attempt span closes before _wrap_obs drains, so it ships with
-    # this very result (an attempt that *fails* leaves its span in the
-    # worker's buffer until that worker's next successful task).
-    with get_tracer().span(
-        "executor.attempt", category="resilience",
-        task=f"tiling[{item.index}]", attempt=attempt,
-    ):
-        rng = (
-            None
-            if item.rng_source is None
-            else np.random.default_rng(item.rng_source)
-        )
-        tiling, energy = item.stage.run(ctx, rng)
-    return _wrap_obs((tiling, energy, time.perf_counter() - t0))
 
 
 def _run_evaluation(attempt: int, item: _EvalItem):
@@ -1200,14 +1159,16 @@ class SearchRun:
 class StagedSearch:
     """Fans candidate specs through the staged pipeline, supervised.
 
-    Two parallel phases with a dedup barrier between them: tiling
-    generation runs for every spec, then fingerprint-duplicate tilings are
-    dropped (recording a skip trace), then the surviving candidates are
-    scheduled/mapped/simulated.  ``executor.map`` preserves submission
-    order and every candidate owns its RNG stream, so results are
-    independent of worker count and completion order — and, because
-    retries re-run pure payloads, independent of any faults the search
-    survived along the way.
+    Two phases with a dedup barrier between them: the tiling phase
+    anneals every chain on the annealing driver and computes every
+    other spec's tiling (the even split) in the parent, then
+    fingerprint-duplicate tilings are dropped (recording a skip trace),
+    then the surviving candidates are scheduled/mapped/simulated in
+    parallel.  ``executor.map`` preserves submission order and every
+    chain owns its RNG stream, so results are independent of worker
+    count and completion order — and, because retries re-run pure
+    payloads, independent of any faults the search survived along the
+    way.
 
     Args:
         ctx: Shared search state.
@@ -1227,12 +1188,11 @@ class StagedSearch:
             does not shut the executor down — the owner keeps it alive
             across searches.  None (default) spawns a private executor
             per :meth:`run` call, exactly as before.
-        tempering: Replica-exchange plan
-            (:class:`~repro.search.tempering.TemperingPlan`).  When set,
-            the first ``tempering.rungs`` specs are annealed as one
-            coupled temperature ladder by the tempering coordinator
-            instead of independently; remaining specs run the normal
-            phase-1 path.
+        tempering: The annealing chains
+            (:class:`~repro.search.tempering.TemperingPlan`): specs
+            ``0 .. tempering.rungs - 1`` are its chains, in order, run by
+            :func:`~repro.search.tempering.run_tempering` — an exchanging
+            ladder or independent restarts.  None when no spec anneals.
     """
 
     def __init__(
@@ -1298,88 +1258,54 @@ class StagedSearch:
             _log.info("restored %d candidate(s) from checkpoint", len(restored))
             get_registry().counter("search.restored").inc(len(restored))
 
-        # Phase 0: the replica-exchange ladder anneals the rung specs
-        # (by convention the first ``tempering.rungs`` specs) as one
-        # coupled process; its per-rung results enter the dedup barrier
-        # below exactly like restart tilings would.  Skipped when every
-        # rung already restored from the journal.
-        pt = self.tempering
-        pt_rungs = range(pt.rungs) if pt is not None else range(0)
-        pt_outcome = None
-        pt_error: TemperingError | None = None
-        if pt is not None and any(i not in restored for i in pt_rungs):
-            _log.info(
-                "phase tempering: %d rung(s) x %d segment(s) on %d job(s)",
-                pt.rungs, pt.segments, self.jobs,
-            )
-            try:
-                pt_outcome = run_tempering(
-                    pt,
-                    executor,
-                    parallel_hint=self.ctx.num_engines,
-                    journal=self.journal,
-                    resume_records=records if self.resume else None,
-                    faults=self.faults,
-                )
-            except TemperingError as exc:
-                # The ladder is coupled: one permanently lost rung sinks
-                # every rung.  The rung specs become failure traces and
-                # the search continues on what is left (the even-split
-                # floor candidate, restored solutions).
-                pt_error = exc
-                _log.error("tempering failed: %s", exc)
-
-        # Phase 1: tiling generation for everything not restored and not
-        # owned by the tempering coordinator.
-        fresh = [
-            i for i in range(n) if i not in restored and i not in pt_rungs
-        ]
-        gen_payloads = [
-            _TilingItem(
-                index=i,
-                stage=specs[i].tiling_stage,
-                rng_source=specs[i].rng_source,
-                faults=self.faults,
-            )
-            for i in fresh
-        ]
-        _log.info(
-            "phase tiling: generating %d candidate(s) on %d job(s)",
-            len(gen_payloads), self.jobs,
-        )
-        with tracer.span("search.phase", phase="tiling", tasks=len(gen_payloads)):
-            gen_reports = executor.map(_run_tiling, gen_payloads)
-
         entries: list[tuple | None] = [None] * n
         attempts = [1] * n
         traces: list[CandidateTrace | None] = [None] * n
-        for i, report in zip(fresh, gen_reports):
-            attempts[i] = max(report.attempts, 1)
-            if report.ok:
-                entries[i] = _unwrap_obs(report.value)
-            else:
-                traces[i] = self._failure_trace(specs[i].label, "", report)
-        for i in pt_rungs:
-            if i in restored:
+        plan = self.tempering
+        chains = range(plan.rungs if plan is not None else 0)
+        outcome = None
+        if plan is not None and any(i not in restored for i in chains):
+            _log.info(
+                "phase tiling: %d chain(s) x %d segment(s) on %d job(s)",
+                plan.rungs, plan.segments, self.jobs,
+            )
+            outcome = run_tempering(
+                plan,
+                executor,
+                parallel_hint=self.ctx.num_engines,
+                journal=self.journal,
+                resume_records=records if self.resume else None,
+                faults=self.faults,
+                done=frozenset(restored),
+            )
+        retry_attempts = 0
+        for i in chains:
+            if outcome is None or i in restored:
                 continue
-            if pt_outcome is not None:
-                res = pt_outcome.results[i]
-                entries[i] = (res.tiling, res.energy, pt_outcome.seconds[i])
-            else:
-                traces[i] = CandidateTrace(
-                    label=specs[i].label,
-                    fingerprint="",
-                    reason=(
-                        "interrupted"
-                        if pt_error is not None and pt_error.interrupted
-                        else f"failed after 1 attempt: {pt_error}"
-                    ),
-                    error=(
-                        ""
-                        if pt_error is not None and pt_error.interrupted
-                        else str(pt_error)
-                    ),
+            attempts[i] = outcome.attempts[i]
+            retry_attempts += attempts[i] - 1
+            result, lost = outcome.results[i], outcome.failures[i]
+            if result is not None:
+                entries[i] = (result.tiling, result.energy, outcome.seconds[i])
+            elif lost is not None:
+                traces[i] = self._failure_trace(specs[i].label, "", lost)
+        # The even split is a pure function of the context: the parent
+        # computes it, and a raise is that candidate's failure trace.
+        for i, spec in enumerate(specs):
+            if i in restored or i in chains:
+                continue
+            t0 = time.perf_counter()
+            try:
+                tiling, energy = spec.tiling_stage.run(self.ctx)
+            except Exception as exc:
+                error = f"{type(exc).__name__}: {exc}"
+                _log.warning("%s failed: %s", spec.label, error, exc_info=True)
+                traces[i] = self._failure_trace(
+                    spec.label, "",
+                    TaskReport(index=i, status="failed", error=error, attempts=1),
                 )
+                continue
+            entries[i] = (tiling, energy, time.perf_counter() - t0)
         for i, solution in restored.items():
             dag = solution.dag
             entries[i] = (
@@ -1390,20 +1316,21 @@ class StagedSearch:
 
         # Dedup barrier over every tiling that exists (fresh + restored).
         eval_items, skips = self._dedup(specs, entries, strategy)
-        if pt_outcome is not None:
+        if outcome is not None and plan is not None and plan.exchange:
+            # Provenance: only a ladder that exchanges records rungs.
             eval_items = [
                 replace(
                     item,
                     rung=item.spec_index,
-                    swaps_proposed=pt_outcome.swaps_proposed[item.spec_index],
-                    swaps_accepted=pt_outcome.swaps_accepted[item.spec_index],
+                    swaps_proposed=outcome.swaps_proposed[item.spec_index],
+                    swaps_accepted=outcome.swaps_accepted[item.spec_index],
                 )
-                if item.spec_index in pt_rungs
+                if item.spec_index in chains
                 else item
                 for item in eval_items
             ]
         for i, skip in skips.items():
-            traces[i] = skip
+            traces[i] = replace(skip, attempts=attempts[i])
             restored.pop(i, None)
         if skips:
             _log.debug("deduplicated %d candidate(s)", len(skips))
@@ -1446,9 +1373,7 @@ class StagedSearch:
                 f"{[specs[i].label for i in missing]} — this is a bug in the "
                 "search driver, not in the workload"
             )
-        retry_attempts = sum(
-            max(r.attempts - 1, 0) for r in gen_reports + eval_reports
-        )
+        retry_attempts += sum(max(r.attempts - 1, 0) for r in eval_reports)
         if retry_attempts:
             get_registry().counter("search.retry_attempts").inc(retry_attempts)
         return SearchRun(
@@ -1476,7 +1401,7 @@ class StagedSearch:
         restored: dict[int, CandidateSolution] = {}
         for i, spec in enumerate(specs):
             record = records.get(spec.label)
-            if record is None or record.get("kind") == "pt-segment":
+            if record is None or record.get("kind") == SEGMENT_KIND:
                 continue
             solution = restore_solution(self.ctx, record)
             if solution is not None:

@@ -44,7 +44,7 @@ SERVICE_FAULT_KINDS = (
     "drop-socket", "sigterm"
 )
 
-#: Phases a fault can target (the two fan-out phases of ``StagedSearch``).
+#: Phases a fault can target: annealing-chain segments and evaluations.
 FAULT_PHASES = ("tiling", "eval")
 
 
@@ -73,7 +73,10 @@ class FaultSpec:
     """One injected fault.
 
     Attributes:
-        index: Candidate (spec) index the fault targets.
+        index: Candidate (spec) index the fault targets.  A
+            ``"tiling"`` fault targets the annealing chain of that index
+            (``sa[i]`` or ``pt[k]``) and fires on every segment it runs;
+            the even split is computed in the parent and cannot be hit.
         kind: One of :data:`FAULT_KINDS`.
         phase: ``"eval"`` (default) or ``"tiling"``.
         attempt: Fire only when the supervised attempt number equals

@@ -1,16 +1,15 @@
-"""Search orchestration beyond independent restarts.
+"""Search orchestration: the annealing driver every SA chain runs on.
 
-Currently home to the parallel-tempering replica-exchange coordinator
-(:mod:`repro.search.tempering`), which replaces brute-force independent
-SA restarts with a coupled temperature ladder mapped onto the resilient
-worker pool.
+:mod:`repro.search.tempering` steps a search's chains in segments on
+the resilient worker pool — a parallel-tempering ladder whose rungs
+exchange configurations, or independent restarts (a ladder that never
+exchanges).
 """
 
 from __future__ import annotations
 
 from repro.search.tempering import (
     ExchangeRecord,
-    TemperingError,
     TemperingOutcome,
     TemperingPlan,
     run_tempering,
@@ -18,7 +17,6 @@ from repro.search.tempering import (
 
 __all__ = [
     "ExchangeRecord",
-    "TemperingError",
     "TemperingOutcome",
     "TemperingPlan",
     "run_tempering",

@@ -1,23 +1,29 @@
-"""Parallel-tempering replica exchange over Algorithm 1's annealer.
+"""The annealing driver: every SA chain of a search runs here.
 
-Replaces independent SA restarts with a coupled temperature ladder: K
-*rungs* (rung 0 coldest) anneal the same workload concurrently, and at
-every segment boundary neighboring rungs propose a Metropolis
-configuration swap — hot rungs explore, cold rungs refine, and good
-configurations migrate down the ladder instead of being rediscovered
-from scratch.  Each rung additionally runs its own member of a proposal
-*portfolio* (exponential vs linear cooling, coarse/fine move-length
-families), so the ladder hedges across annealing styles the way the
-tensor-PCA exemplar's cooling caveat recommends.
+One driver steps K chains of Algorithm 1's annealer in segments on the
+search executor.  A :class:`TemperingPlan` says how the chains couple:
+
+* an exchanging plan is a parallel-tempering ladder: K *rungs* (rung 0
+  coldest) anneal the same workload concurrently, and at every segment
+  boundary neighboring rungs propose a Metropolis configuration swap —
+  hot rungs explore, cold rungs refine, and good configurations migrate
+  down the ladder instead of being rediscovered from scratch.  Each rung
+  additionally runs its own member of a proposal *portfolio*
+  (exponential vs linear cooling, coarse/fine move-length families), so
+  the ladder hedges across annealing styles the way the tensor-PCA
+  exemplar's cooling caveat recommends;
+* a plan with ``exchange=False`` is the independent-restart search of
+  Fig. 4(b)'s outer loop: a ladder that never exchanges, every chain at
+  the base parameters, stepped to completion in one segment.
 
 Determinism contract (the repo-wide ``jobs=1 ≡ jobs=N`` gate):
 
-- every rung owns a dedicated ``SeedSequence.spawn`` child stream that
-  lives inside its :class:`~repro.atoms.generation.RungState` and
+- every chain owns a dedicated seed stream (:meth:`TemperingPlan.streams`)
+  that lives inside its :class:`~repro.atoms.generation.RungState` and
   travels with it across segments, so worker scheduling never reorders
   draws;
-- swap decisions draw from a *dedicated exchange stream* (child K) held
-  by the parent-side coordinator, never by workers;
+- swap decisions draw from a *dedicated exchange stream* held by the
+  parent-side coordinator, never by workers;
 - segments are harvested in submission order via
   ``ResilientExecutor.map``, which preserves payload order.
 
@@ -32,11 +38,13 @@ so the exchange stream position is a pure function of the proposal
 count — the property that makes ``--resume`` bit-identical across a
 swap boundary.
 
-Every segment is journaled (post-swap states, exchange decisions,
-exchange-stream state) under label ``pt-segment[s]``, so an interrupted
-search resumes from the last completed segment and replays nothing;
-validator AD604 (:mod:`repro.analysis.tempering_rules`) audits the
-records for exchange legality.
+Every segment but the last is journaled (post-swap states, exchange
+decisions, exchange-stream state) under label ``pt-segment[s]``, so an
+interrupted search resumes from the last completed segment and replays
+nothing; the last segment's results go straight to evaluation, whose
+candidate records are its checkpoint.  Validator AD604
+(:mod:`repro.analysis.tempering_rules`) audits the records for exchange
+legality.
 """
 
 from __future__ import annotations
@@ -44,6 +52,7 @@ from __future__ import annotations
 import math
 import time
 from dataclasses import dataclass, field, replace
+from functools import partial
 from typing import Any, Sequence
 
 import numpy as np
@@ -58,7 +67,7 @@ from repro.obs.log import get_logger
 from repro.obs.metrics import get_registry
 from repro.obs.tracer import get_tracer
 from repro.resilience.checkpoint import CheckpointJournal
-from repro.resilience.executor import ResilientExecutor
+from repro.resilience.executor import ResilientExecutor, TaskReport
 from repro.resilience.faults import FaultPlan
 
 _log = get_logger(__name__)
@@ -79,20 +88,12 @@ PORTFOLIOS = ("mixed", "exponential", "linear")
 SEGMENT_KIND = "pt-segment"
 
 
-class TemperingError(RuntimeError):
-    """A rung segment failed permanently (or was interrupted)."""
-
-    def __init__(self, message: str, interrupted: bool = False) -> None:
-        super().__init__(message)
-        self.interrupted = interrupted
-
-
 @dataclass(frozen=True)
 class TemperingPlan:
-    """Configuration of one replica-exchange search.
+    """Configuration of one search's annealing chains.
 
     Attributes:
-        rungs: Temperature rungs K (rung 0 is the coldest and behaves
+        rungs: Chains K (for a ladder, rung 0 is the coldest and behaves
             like the plain single-chain annealer).
         exchange_every: Iterations per segment between swap phases.
         portfolio: Proposal portfolio — ``"mixed"`` (default) alternates
@@ -101,8 +102,11 @@ class TemperingPlan:
             cycle through :data:`MOVE_FAMILIES` regardless.
         base: Baseline annealing hyperparameters (rung 0's, before the
             ladder/portfolio adjustments).
-        seed: Root seed: ``SeedSequence(seed)`` spawns K rung streams
-            plus the dedicated exchange stream.
+        seed: Root seed of every chain's stream (:meth:`streams`).
+        exchange: False makes the plan independent restarts: a ladder
+            that never exchanges, every chain at ``base``, one segment
+            of ``base.max_iterations`` steps; ``exchange_every`` and
+            ``portfolio`` then go unused.
     """
 
     rungs: int
@@ -110,6 +114,7 @@ class TemperingPlan:
     portfolio: str = "mixed"
     base: SAParams = field(default_factory=SAParams)
     seed: int = 0
+    exchange: bool = True
 
     def __post_init__(self) -> None:
         if self.rungs < 1:
@@ -123,14 +128,27 @@ class TemperingPlan:
             )
 
     @property
+    def segment_length(self) -> int:
+        """Iterations per segment (the whole run when never exchanging)."""
+        if self.exchange:
+            return self.exchange_every
+        return max(self.base.max_iterations, 1)
+
+    @property
     def segments(self) -> int:
         """Segment count covering ``base.max_iterations`` iterations."""
         return max(
-            1, -(-self.base.max_iterations // self.exchange_every)
+            1, -(-self.base.max_iterations // self.segment_length)
         )
+
+    def label(self, chain: int) -> str:
+        """Candidate label of ``chain``: ``pt[k]`` on a ladder, else ``sa[i]``."""
+        return f"pt[{chain}]" if self.exchange else f"sa[{chain}]"
 
     def rung_params(self, rung: int) -> SAParams:
         """The portfolio member annealing rung ``rung`` runs."""
+        if not self.exchange:
+            return self.base
         if self.portfolio == "mixed":
             schedule = "exponential" if rung % 2 == 0 else "linear"
         else:
@@ -144,6 +162,22 @@ class TemperingPlan:
             ),
             schedule=schedule,
         )
+
+    def streams(self) -> tuple[list[Any], np.random.SeedSequence | None]:
+        """Each chain's seed source, and the exchange stream's.
+
+        A ladder spawns ``SeedSequence(seed).spawn(K+1)``: child k seeds
+        rung k, child K the coordinator's exchange stream.  Restarts keep
+        the layout of earlier releases: chain 0 draws from ``seed``
+        itself (so one restart anneals exactly as ``generate_sa`` on
+        ``default_rng(seed)`` does) and chain i >= 1 from child i-1 of
+        ``SeedSequence(seed).spawn(K-1)``; they have no exchange stream.
+        """
+        if not self.exchange:
+            children = np.random.SeedSequence(self.seed).spawn(self.rungs - 1)
+            return [self.seed, *children], None
+        children = np.random.SeedSequence(self.seed).spawn(self.rungs + 1)
+        return list(children[: self.rungs]), children[self.rungs]
 
 
 @dataclass(frozen=True)
@@ -184,11 +218,12 @@ class ExchangeRecord:
 
 @dataclass(frozen=True)
 class TemperingOutcome:
-    """Everything one coordinated ladder run produced.
+    """Everything one driver run produced.
 
     Attributes:
-        results: Per-rung best-so-far generation results, rung order.
-        seconds: Per-rung cumulative annealing wall seconds.
+        results: Per-chain best-so-far generation results, chain order;
+            None for a chain lost in the final segment.
+        seconds: Per-chain cumulative annealing wall seconds.
         exchanges: Every swap proposal, in exchange-sequence order
             (restored proposals included, so resumed ≡ uninterrupted).
         replicas: Final replica-id permutation (``replicas[k]`` is the
@@ -197,9 +232,13 @@ class TemperingOutcome:
         swaps_accepted: Per-rung accepted-swap counts.
         segments_run: Segments actually stepped this run.
         segments_restored: Segments restored from the journal.
+        attempts: Per-chain supervised attempts: one plus every retry
+            its segments took.
+        failures: Per-chain report of a final segment that failed or
+            was interrupted (None where the chain finished).
     """
 
-    results: tuple[GenerationResult, ...]
+    results: tuple[GenerationResult | None, ...]
     seconds: tuple[float, ...]
     exchanges: tuple[ExchangeRecord, ...]
     replicas: tuple[int, ...]
@@ -207,36 +246,40 @@ class TemperingOutcome:
     swaps_accepted: tuple[int, ...]
     segments_run: int = 0
     segments_restored: int = 0
+    attempts: tuple[int, ...] = ()
+    failures: tuple[TaskReport | None, ...] = ()
 
 
 @dataclass(frozen=True)
 class _SegmentItem:
-    """One rung-segment task payload."""
+    """One chain-segment task payload."""
 
     rung: int
+    label: str
     segment: int
     steps: int
     params: SAParams
     state: dict | None
     rng_source: Any
     parallel_hint: int | None
-    harvest: bool
+    final: bool
     faults: FaultPlan | None = None
 
 
 @dataclass(frozen=True)
 class _SegmentOutcome:
-    """One rung-segment task result: the advanced state, serialized."""
+    """One chain-segment task result: the advanced state, serialized, or
+    (final segment) the chain's result."""
 
     rung: int
     segment: int
-    state: dict
     seconds: float
+    state: dict | None = None
     result: GenerationResult | None = None
 
 
 def _run_segment(attempt: int, item: _SegmentItem):
-    """Task: advance one rung by one segment (init on segment 0)."""
+    """Task: advance one chain by one segment (init on segment 0)."""
     from repro.pipeline import _WORKER_STATE, _wrap_obs
 
     ctx = _WORKER_STATE["ctx"]
@@ -245,7 +288,7 @@ def _run_segment(attempt: int, item: _SegmentItem):
     t0 = time.perf_counter()
     with get_tracer().span(
         "executor.attempt", category="resilience",
-        task=f"pt[{item.rung}]", attempt=attempt,
+        task=item.label, attempt=attempt,
     ):
         generator = AtomGenerator(
             ctx.graph, ctx.cost_model, rng=np.random.default_rng(0)
@@ -263,18 +306,39 @@ def _run_segment(attempt: int, item: _SegmentItem):
                 )
             else:
                 rung_state = RungState.from_dict(item.state)
-            if item.steps > 0:
-                generator.step_rung(rung_state, item.params, steps=item.steps)
-        result = generator.rung_result(rung_state) if item.harvest else None
+            generator.step_rung(rung_state, item.params, steps=item.steps)
+        if item.final:
+            state, result = None, generator.rung_result(rung_state)
+        else:
+            state, result = rung_state.to_dict(), None
     return _wrap_obs(
         _SegmentOutcome(
             rung=item.rung,
             segment=item.segment,
-            state=rung_state.to_dict(),
             seconds=time.perf_counter() - t0,
+            state=state,
             result=result,
         )
     )
+
+
+def _verify_segment(
+    payloads: list[_SegmentItem], index: int, value: Any
+) -> str | None:
+    """The executor's integrity check of one chain-segment result."""
+    from repro.pipeline import _ObsEnvelope
+
+    outcome = value.value if isinstance(value, _ObsEnvelope) else value
+    if not isinstance(outcome, _SegmentOutcome):
+        return f"segment result has type {type(outcome).__name__}"
+    item = payloads[index]
+    if (outcome.rung, outcome.segment) != (item.rung, item.segment):
+        return (
+            "segment echo mismatch: got "
+            f"rung {outcome.rung} segment {outcome.segment}, "
+            f"expected rung {item.rung} segment {item.segment}"
+        )
+    return None
 
 
 def _metropolis_swap(
@@ -351,9 +415,12 @@ def _segment_record(
     }
 
 
-def _restore_segments(records: dict, rungs: int) -> dict | None:
+def _restore_segments(records: dict, rungs: int, limit: int) -> dict | None:
     """The longest valid consecutive segment prefix in journal records.
 
+    At most ``limit`` segments are restored: the caller passes
+    ``segments - 1``, so the final segment is always stepped (its
+    results feed evaluation) even when a journal holds its record.
     Returns the last prefix record plus the exchange history of the
     whole prefix, or None when segment 0 is absent or malformed —
     corruption can cost work, never correctness (the same contract as
@@ -362,7 +429,7 @@ def _restore_segments(records: dict, rungs: int) -> dict | None:
     exchanges: list[ExchangeRecord] = []
     last: dict | None = None
     segment = 0
-    while True:
+    while segment < limit:
         record = records.get(segment_label(segment))
         if not isinstance(record, dict) or record.get("kind") != SEGMENT_KIND:
             break
@@ -390,36 +457,51 @@ def run_tempering(
     journal: CheckpointJournal | None = None,
     resume_records: dict | None = None,
     faults: FaultPlan | None = None,
+    done: frozenset[int] = frozenset(),
 ) -> TemperingOutcome:
-    """Run the replica-exchange ladder to completion on ``executor``.
+    """Run every chain of ``plan`` to completion on ``executor``.
+
+    Four rules, the same for a ladder and for restarts:
+
+    * a chain lost (failed past its retries, or interrupted) in the
+      final segment sinks only itself: ``results[k]`` is None and
+      ``failures[k]`` says why, since no later step reads its state;
+      lost in a segment that an exchange follows, it sinks every chain
+      and the run stops there;
+    * a chain's segment retries add to ``attempts[k]``;
+    * swaps are recorded only when the ladder exchanges;
+    * every segment but the last is journaled.
 
     Args:
-        plan: Ladder configuration.
+        plan: Chain configuration.
         executor: A search executor whose workers were initialized with
             the target :class:`~repro.pipeline.SearchContext`.
         parallel_hint: Engine count for the parallelism deficit term.
-        journal: Open checkpoint journal; every completed segment is
-            appended (post-swap) under label ``pt-segment[s]``.
+        journal: Open checkpoint journal; every completed segment but
+            the last is appended (post-swap) under label
+            ``pt-segment[s]``.
         resume_records: Journal records from ``CheckpointJournal.open``;
-            the longest valid segment prefix is restored instead of
-            being re-stepped.
-        faults: Deterministic fault plan (chaos tests); rung segments
-            fire phase-``"tiling"`` faults indexed by rung.
-
-    Raises:
-        TemperingError: A rung segment failed past its retry budget or
-            the run was interrupted — the ladder is coupled, so a lost
-            rung invalidates every later segment.
+            the longest valid segment prefix (at most ``segments - 1``)
+            is restored instead of being re-stepped.
+        faults: Deterministic fault plan (chaos tests); chain segments
+            fire phase-``"tiling"`` faults indexed by chain.
+        done: Chains whose candidates the caller already holds (restored
+            from a checkpoint).  In a one-segment plan no exchange reads
+            their state, so they are not stepped and their results stay
+            None; a ladder of several segments steps every chain.
     """
     rungs = plan.rungs
     tracer = get_tracer()
     registry = get_registry()
-    children = np.random.SeedSequence(plan.seed).spawn(rungs + 1)
-    ex_rng = np.random.default_rng(children[rungs])
+    sources, ex_source = plan.streams()
+    ex_rng = None if ex_source is None else np.random.default_rng(ex_source)
     params = [plan.rung_params(k) for k in range(rungs)]
     epsilons = [p.epsilon for p in params]
+    n_segments = plan.segments
+    stepped = [k for k in range(rungs) if n_segments > 1 or k not in done]
     states: list[dict | None] = [None] * rungs
     seconds = [0.0] * rungs
+    attempts = [1] * rungs
     swaps_proposed = [0] * rungs
     swaps_accepted = [0] * rungs
     exchanges: list[ExchangeRecord] = []
@@ -427,8 +509,9 @@ def run_tempering(
     start_segment = 0
 
     if resume_records:
-        restored = _restore_segments(resume_records, rungs)
+        restored = _restore_segments(resume_records, rungs, n_segments - 1)
         if restored is not None:
+            assert ex_rng is not None  # only a ladder has segments to restore
             last = restored["last"]
             states = [dict(doc) for doc in last["states"]]
             exchanges = list(restored["exchanges"])
@@ -444,77 +527,66 @@ def run_tempering(
             )
             registry.counter("search.pt.segments_restored").inc(start_segment)
 
-    n_segments = plan.segments
-    results: list[GenerationResult | None] = [None] * rungs
+    from repro.pipeline import _unwrap_obs
 
-    def run_segment_map(
-        segment: int, steps: int, harvest: bool
-    ) -> list[_SegmentOutcome]:
+    results: list[GenerationResult | None] = [None] * rungs
+    failures: list[TaskReport | None] = [None] * rungs
+    for segment in range(start_segment, n_segments):
+        final = segment == n_segments - 1
+        done = segment * plan.segment_length
         payloads = [
             _SegmentItem(
                 rung=k,
+                label=plan.label(k),
                 segment=segment,
-                steps=steps,
+                steps=min(plan.segment_length, plan.base.max_iterations - done),
                 params=params[k],
                 state=states[k],
-                rng_source=children[k] if states[k] is None else None,
+                rng_source=sources[k] if states[k] is None else None,
                 parallel_hint=parallel_hint,
-                harvest=harvest,
+                final=final,
                 faults=faults,
             )
-            for k in range(rungs)
+            for k in stepped
         ]
-
-        def verify(index: int, value: Any) -> str | None:
-            from repro.pipeline import _ObsEnvelope
-
-            outcome = (
-                value.value if isinstance(value, _ObsEnvelope) else value
-            )
-            if not isinstance(outcome, _SegmentOutcome):
-                return f"segment result has type {type(outcome).__name__}"
-            if (outcome.rung, outcome.segment) != (index, segment):
-                return (
-                    "segment echo mismatch: got "
-                    f"rung {outcome.rung} segment {outcome.segment}, "
-                    f"expected rung {index} segment {segment}"
-                )
-            return None
-
         with tracer.span(
-            "search.phase", phase="tempering", segment=segment, tasks=rungs
+            "search.phase", phase="tiling", segment=segment,
+            tasks=len(payloads),
         ):
-            reports = executor.map(_run_segment, payloads, verify=verify)
-        outcomes = []
-        for k, report in enumerate(reports):
+            reports = executor.map(
+                _run_segment, payloads, verify=partial(_verify_segment, payloads)
+            )
+        for item, report in zip(payloads, reports):
+            k = item.rung
+            attempts[k] += max(report.attempts - 1, 0)
             if not report.ok:
-                raise TemperingError(
-                    f"tempering rung {k} segment {segment} "
-                    f"{report.status}: {report.error or 'interrupted'}",
-                    interrupted=report.status == "interrupted",
-                )
-            from repro.pipeline import _unwrap_obs
-
-            outcomes.append(_unwrap_obs(report.value))
-        return outcomes
-
-    if start_segment >= n_segments:
-        # Every segment restored: one zero-step pass harvests results.
-        for outcome in run_segment_map(n_segments - 1, 0, True):
-            results[outcome.rung] = outcome.result
-
-    for segment in range(start_segment, n_segments):
-        done = segment * plan.exchange_every
-        steps = min(plan.exchange_every, plan.base.max_iterations - done)
-        harvest = segment == n_segments - 1
-        for outcome in run_segment_map(segment, max(steps, 0), harvest):
-            k = outcome.rung
-            states[k] = outcome.state
+                failures[k] = replace(report, index=k, attempts=attempts[k])
+                continue
+            outcome = _unwrap_obs(report.value)
             seconds[k] += outcome.seconds
-            if harvest:
+            if final:
                 results[k] = outcome.result
+            else:
+                states[k] = outcome.state
+        registry.counter("search.pt.segments").inc()
+        lost = next((f for f in failures if f is not None), None)
+        if lost is not None and not final:
+            # The lost chain's state feeds the exchange: every chain sinks.
+            message = (
+                f"tempering rung {lost.index} segment {segment} "
+                f"{lost.status}: {lost.error or 'interrupted'}"
+            )
+            _log.error("annealing failed: %s", message)
+            attempts = [1] * rungs
+            failures = [
+                TaskReport(index=k, status=lost.status, error=message, attempts=1)
+                for k in range(rungs)
+            ]
+        if final or lost is not None:
+            break
+        assert ex_rng is not None  # a plan with several segments exchanges
         segment_exchanges: list[ExchangeRecord] = []
-        if not harvest and rungs > 1:
+        if rungs > 1:
             with tracer.span(
                 "sa.exchange", category="sa", segment=segment
             ) as span:
@@ -546,7 +618,6 @@ def run_tempering(
             )
             if accepted:
                 registry.counter("search.pt.swaps_accepted").inc(accepted)
-        registry.counter("search.pt.segments").inc()
         if journal is not None:
             journal.append(
                 _segment_record(
@@ -561,22 +632,25 @@ def run_tempering(
                 )
             )
 
-    assert all(r is not None for r in results)
     _log.info(
-        "tempering finished: %d rung(s), %d/%d swap(s) accepted",
+        "annealing finished: %d chain(s), %d lost, %d/%d swap(s) accepted",
         rungs,
+        sum(f is not None for f in failures),
         sum(swaps_accepted) // 2,
         sum(swaps_proposed) // 2,
     )
     return TemperingOutcome(
-        results=tuple(results),  # type: ignore[arg-type]
+        results=tuple(results),
         seconds=tuple(seconds),
         exchanges=tuple(exchanges),
         replicas=tuple(
-            int(doc["replica"]) for doc in states  # type: ignore[index]
+            k if doc is None else int(doc["replica"])
+            for k, doc in enumerate(states)
         ),
         swaps_proposed=tuple(swaps_proposed),
         swaps_accepted=tuple(swaps_accepted),
-        segments_run=n_segments - start_segment,
+        segments_run=segment + 1 - start_segment,
         segments_restored=start_segment,
+        attempts=tuple(attempts),
+        failures=tuple(failures),
     )

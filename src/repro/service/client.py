@@ -33,6 +33,10 @@ from repro.service.request import CompileRequest
 #: 108 bytes, the BSDs 104; both counts include the NUL terminator).
 SUN_PATH_LIMIT = 104
 
+#: Longest pause between two ``status`` polls in :meth:`ServeClient.wait`:
+#: a finished job is seen at most this late.
+WAIT_POLL_CAP_S = 0.2
+
 #: Transport failures worth retrying: the daemon is restarting, its
 #: listen backlog blinked, or the kernel reset us mid-handshake.  A
 #: *timeout* is deliberately excluded — the daemon may be working on a
@@ -213,9 +217,10 @@ class ServeClient:
     ) -> dict:
         """Poll until the job is terminal; returns its final record.
 
-        The poll interval starts at ``poll_s`` and doubles per poll
-        (capped at 1s) — a deterministic backoff that keeps short jobs
-        snappy without hammering the daemon over long searches.
+        The poll interval starts at ``poll_s`` and doubles per poll up
+        to :data:`WAIT_POLL_CAP_S` — a deterministic backoff that keeps
+        short jobs snappy, sees a finished long one at most that late,
+        and costs a long search five status calls a second.
 
         Raises:
             TimeoutError: Still running after ``timeout_s``.
@@ -235,7 +240,7 @@ class ServeClient:
             if remaining is not None:
                 pause = min(pause, remaining)
             time.sleep(pause)
-            poll = min(poll * 2.0, 1.0)
+            poll = min(poll * 2.0, WAIT_POLL_CAP_S)
 
     def cancel(self, job_id: str) -> dict:
         return self.call("cancel", job_id=job_id)

@@ -136,6 +136,56 @@ class TestFailureIsolation:
         assert outcome.search_stats.failed == 1
         assert outcome.result.total_cycles > 0
 
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_permanent_tiling_fault_fails_only_that_restart(
+        self, jobs, arch, baseline_vgg
+    ):
+        # Restarts are one segment each: a chain lost there sinks only
+        # itself, and the other candidates decide as without the fault.
+        outcome = run_search(
+            "vgg19_bench", arch, jobs=jobs, retries=1,
+            faults=FaultPlan(
+                specs=(
+                    FaultSpec(
+                        index=1, kind="raise", phase="tiling", attempt=None
+                    ),
+                )
+            ),
+        )
+        assert [t.label for t in outcome.traces if t.failed] == ["sa[1]"]
+        failed = outcome.traces[1]
+        assert failed.reason.startswith("failed after 2 attempts: ")
+        assert "InjectedFault" in failed.error and failed.attempts == 2
+        for t, base in zip(outcome.traces, baseline_vgg.traces):
+            if t.label != "sa[1]":
+                assert (t.fingerprint, t.total_cycles) == (
+                    base.fingerprint, base.total_cycles
+                )
+        assert sum(t.accepted for t in outcome.traces) == 1
+        assert outcome.search_stats.retry_attempts == 1
+
+    def test_even_tiling_that_raises_is_a_failure_trace(
+        self, arch, baseline_vgg, monkeypatch
+    ):
+        import repro.pipeline
+
+        def broken(graph, parts):
+            raise RuntimeError("no even split today")
+
+        monkeypatch.setattr(repro.pipeline, "layer_sequential_tiling", broken)
+        outcome = run_search("vgg19_bench", arch, jobs=1)
+        even = next(t for t in outcome.traces if t.label == "even-split")
+        assert even.failed and not even.accepted
+        assert even.reason == (
+            "failed after 1 attempt: RuntimeError: no even split today"
+        )
+        assert even.attempts == 1 and "no even split" in even.error
+        assert sum(t.accepted for t in outcome.traces) == 1
+        restarts = [t for t in baseline_vgg.traces if t.label.startswith("sa[")]
+        assert outcome.result.total_cycles == min(
+            t.total_cycles for t in restarts if t.evaluated
+        )
+
     def test_all_candidates_failing_raises_with_the_causes(self, arch):
         with pytest.raises(RuntimeError, match="InjectedFault"):
             run_search(

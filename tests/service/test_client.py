@@ -10,7 +10,7 @@ import pytest
 
 from repro.resilience.timing import Deadline, backoff_for
 from repro.service import SUN_PATH_LIMIT, ServeClient, socket_path_problem
-from repro.service.client import ServiceError
+from repro.service.client import WAIT_POLL_CAP_S, ServiceError
 
 
 class TestBackoffLadder:
@@ -144,3 +144,29 @@ class TestTransportRetries:
     def test_rejects_negative_retries(self, short_dir):
         with pytest.raises(ValueError):
             ServeClient(str(short_dir / "a.sock"), retries=-1)
+
+
+class TestWaitPolling:
+    def test_pauses_stay_under_the_cap_and_done_returns_on_next_poll(
+        self, monkeypatch
+    ):
+        import repro.service.client as client_module
+
+        client = ServeClient("/tmp/never-connected.sock")
+        states = iter(["queued"] + ["running"] * 12 + ["done"])
+        polls: list[str] = []
+        pauses: list[float] = []
+
+        def status(job_id):
+            polls.append(job_id)
+            return {"job_id": job_id, "state": next(states)}
+
+        monkeypatch.setattr(client, "status", status)
+        monkeypatch.setattr(client_module.time, "sleep", pauses.append)
+        job = client.wait("job-1", timeout_s=None)
+        assert job["state"] == "done"
+        assert len(polls) == 14
+        # No pause after the terminal poll: the job is returned at once.
+        assert len(pauses) == len(polls) - 1
+        assert pauses[:3] == [0.05, 0.1, 0.2]
+        assert max(pauses) <= WAIT_POLL_CAP_S == 0.2
