@@ -36,18 +36,13 @@ from repro.analysis.resilience_rules import (
     check_resilience_traces,
 )
 from repro.analysis.schedule_rules import check_schedule
-from repro.analysis.selfcheck import run_self_check
 from repro.analysis.service_rules import (
     check_admission_accounting,
     check_job_journal,
     check_service_state,
     check_store,
 )
-from repro.analysis.static import (
-    STATIC_RULES,
-    run_static_analysis,
-    run_static_self_check,
-)
+from repro.analysis.static import STATIC_RULES, run_static_analysis
 from repro.analysis.tempering_rules import (
     check_tempering_journal,
     check_tempering_records,
@@ -82,9 +77,7 @@ __all__ = [
     "lint_paths",
     "lint_source",
     "register_rule",
-    "run_self_check",
     "run_static_analysis",
-    "run_static_self_check",
     "validate_artifacts",
     "validate_outcome",
     "validate_solution_file",

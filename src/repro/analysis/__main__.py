@@ -2,8 +2,9 @@
 
 Modes (first match wins):
 
-* ``--self-check`` — prove the analysis subsystem catches seeded-broken
-  artifacts and that the ``repro`` source tree lints clean;
+* ``--self-check`` — seed one violation per rule and require exactly
+  that rule to fire, and require the shared clean artifacts and the
+  ``repro`` source tree to pass (:mod:`repro.analysis.selfcheck`);
 * ``--artifact solution.json --model NAME`` — Tier-A validation of a
   serialized solution document;
 * ``--journal FILE.jsonl`` — journal validation, dispatched by header:
@@ -29,26 +30,16 @@ import repro
 from repro.analysis.artifacts import validate_solution_file
 from repro.analysis.diagnostics import Report, all_rules
 from repro.analysis.lint import lint_paths
-from repro.analysis.selfcheck import run_self_check
+from repro.cli import parse_mesh
 
 #: Baseline auto-discovered for ``--static`` when ``--baseline`` is absent.
 DEFAULT_BASELINE = Path("tools/static_baseline.json")
 
 
-def _parse_mesh(spec: str) -> tuple[int, int]:
-    try:
-        rows, cols = spec.lower().split("x")
-        return int(rows), int(cols)
-    except ValueError:
-        raise argparse.ArgumentTypeError(
-            f"mesh must look like 4x4, got {spec!r}"
-        ) from None
-
-
-def build_parser() -> argparse.ArgumentParser:
-    """Construct the analysis CLI parser."""
+def build_parser(prog: str = "repro.analysis") -> argparse.ArgumentParser:
+    """Construct the analysis CLI parser (``prog`` names it in usage text)."""
     parser = argparse.ArgumentParser(
-        prog="repro.analysis",
+        prog=prog,
         description="Static verification: artifact validators + lint rules.",
     )
     parser.add_argument(
@@ -84,7 +75,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument(
         "--mesh",
-        type=_parse_mesh,
+        type=parse_mesh,
         default=(8, 8),
         help="engine grid of the --artifact target (default 8x8)",
     )
@@ -176,9 +167,9 @@ def _run_static(args: argparse.Namespace) -> int:
     return _finish(result.report, args.json)
 
 
-def main(argv: list[str] | None = None) -> int:
+def main(argv: list[str] | None = None, prog: str = "repro.analysis") -> int:
     """CLI entry point."""
-    args = build_parser().parse_args(argv)
+    args = build_parser(prog).parse_args(argv)
 
     if args.list_rules:
         for rule in all_rules():
@@ -189,6 +180,8 @@ def main(argv: list[str] | None = None) -> int:
         return 0
 
     if args.self_check:
+        from repro.analysis.selfcheck import run_self_check
+
         passed, transcript = run_self_check()
         print(transcript)
         return 0 if passed else 1

@@ -21,7 +21,7 @@ from repro.analysis.mapping_rules import check_placement
 from repro.analysis.resilience_rules import check_resilience_traces
 from repro.analysis.schedule_rules import check_schedule
 from repro.analysis.trace_rules import check_search_trace
-from repro.atoms.atom import AtomId, TileSize
+from repro.atoms.atom import TileSize
 from repro.atoms.dag import AtomicDAG, build_atomic_dag
 from repro.config import ArchConfig
 from repro.engine.cost_model import EngineCostModel
@@ -29,8 +29,9 @@ from repro.engine.dataflow import get_dataflow
 from repro.ir.graph import Graph
 from repro.ir.transforms import fuse_elementwise
 from repro.noc.torus import make_topology
+from repro.pipeline import bind_identities
 from repro.scheduling.dp import RoundCostFn, default_round_cost
-from repro.scheduling.rounds import Round, Schedule
+from repro.scheduling.rounds import Schedule
 from repro.serialize import FORMAT
 
 
@@ -208,36 +209,9 @@ def validate_solution_file(
     )
     dag = build_atomic_dag(fused, tiling, cost_model, batch=doc["batch"])
 
-    def resolve(sample: int, layer: int, index: int, where: str) -> int | None:
-        try:
-            return dag.index_of(AtomId(sample, layer, index))
-        except KeyError:
-            report.emit(
-                "AD201",
-                where,
-                f"unknown atom identity (sample={sample}, layer={layer}, "
-                f"index={index})",
-            )
-            return None
-
-    rounds = []
-    for t, combo in enumerate(doc["rounds"]):
-        resolved = [
-            resolve(s, layer, i, f"round {t}") for s, layer, i in combo
-        ]
-        rounds.append(
-            Round(
-                index=t,
-                atom_indices=tuple(a for a in resolved if a is not None),
-            )
-        )
-    schedule = Schedule(rounds=rounds)
-    placement: dict[int, int] = {}
-    for sample, layer, index, engine in doc["placement"]:
-        a = resolve(sample, layer, index, "placement")
-        if a is not None:
-            placement[a] = engine
-
+    schedule, placement, unresolved = bind_identities(dag, doc)
+    for where, atom_id in unresolved:
+        report.emit("AD201", where, f"unknown atom identity {atom_id!r}")
     return validate_artifacts(
         dag, schedule=schedule, placement=placement, arch=arch, report=report
     )

@@ -1,798 +1,608 @@
-"""Analysis self-check: prove the checker catches what it claims to catch.
+"""One seeded violation per analysis rule, and the ``--self-check`` loop.
 
-CI runs ``python -m repro.analysis --self-check``, which must fail loudly
-if the analysis subsystem ever rots.  Four legs:
+:data:`CASES` holds one row ``(rule, label, build)`` for every rule in
+:func:`~repro.analysis.diagnostics.all_rules`.  ``build`` seeds the
+rule's violation into a corrupted copy of the shared :class:`Artifacts`
+(or, for the lint rules, into a one-rule module) and returns the report
+of the checker that guards it, which must fire exactly ``{rule}``.
 
-1. **Clean positive** — the framework's staged pipeline on two zoo
-   workloads produces artifacts that pass every Tier-A validator; one
-   workload additionally runs multi-restart with ``jobs=2`` and
-   ``validate=True`` so every intermediate artifact is verified
-   stage-by-stage inside the pipeline itself, and the resulting search
-   traces pass the AD5xx trace rules;
-2. **Chaos determinism** — the same staged search re-runs with a fault
-   injected at every candidate index (raise, worker kill, corrupt
-   result) and a checkpoint journal attached: it must survive, decide
-   bit-identically to the fault-free run, leave traces that satisfy the
-   AD6xx resilience rules, and write a journal that passes AD601; a
-   parallel-tempering search then writes a segment journal that must
-   pass AD601 + AD604, and seeded exchange-history corruptions
-   (non-neighbor swap, decreasing sequence, duplicated replica id)
-   must each trip AD604;
-3. **Seeded negatives** — deliberately corrupted copies of those same
-   artifacts (dependency swap, duplicate engine, phantom edge, corrupted
-   search trace, broken retry annotations, tampered journal, duplicated
-   timeline interval, tampered utilization, …) must each trip exactly
-   the rule that guards the broken invariant;
-4. **Lint round-trip** — an embedded bad snippet fires all Tier-B rules,
-   an embedded clean snippet fires none, and the installed ``repro``
-   source tree itself lints clean;
-5. **Static-analysis round-trip** — fixture modules planting one hazard
-   per Tier-C rule (LINT007–LINT013) must each be detected, a clean
-   control module must not fire, and the installed ``repro`` tree must
-   pass the interprocedural passes with every remaining finding covered
-   by a justified suppression;
-6. **Service-state round-trip** — a real solution document written
-   through the content-addressed store passes AD801, a legal job
-   lifecycle replays AD802-clean, a consistent admission snapshot passes
-   AD803, and seeded corruptions (flipped object bytes, a post-terminal
-   job transition, over-quota accounting) each trip exactly the rule
-   that guards them.
+The artifacts are built once per process (:func:`shared_artifacts`): a
+``vgg19_bench`` search on a 4x4 mesh with its checkpoint journal and
+simulator timeline, a 3-rung tempering journal, a store directory
+published through Tier A, and synthetic job journal, event log, job
+trace and admission snapshot.  They are themselves clean
+(:func:`clean_reports`), and a row that writes a file writes a fresh one.
+
+Tier-1 runs every row and clean leg (``tests/analysis/test_selfcheck.py``);
+``python -m repro.analysis --self-check``, the CI gate, is
+:func:`run_self_check`: the same clean legs and rows plus the Tier-C
+pass over the installed ``repro`` tree.
 """
 
 from __future__ import annotations
 
+import functools
 import json
+import shutil
 import tempfile
-from dataclasses import replace
+import textwrap
+from dataclasses import dataclass, replace
 from pathlib import Path
+from types import SimpleNamespace
+from typing import Callable, NamedTuple
 
 import repro
 from repro.analysis.artifacts import validate_artifacts, validate_outcome
+from repro.analysis.buffer_rules import check_buffering
+from repro.analysis.dag_rules import check_dag
+from repro.analysis.diagnostics import Report
+from repro.analysis.lint import lint_paths, lint_source
 from repro.analysis.resilience_rules import (
     check_checkpoint_journal,
     check_resilience_traces,
 )
+from repro.analysis.service_rules import (
+    check_admission_accounting,
+    check_event_log,
+    check_job_journal,
+    check_job_leases,
+    check_store,
+    check_trace_file,
+)
+from repro.analysis.static import run_static_analysis
 from repro.analysis.tempering_rules import (
     check_tempering_journal,
     check_tempering_records,
 )
+from repro.analysis.timeline_rules import check_timeline
 from repro.analysis.trace_rules import check_search_trace
-from repro.analysis.diagnostics import Report
-from repro.analysis.lint import lint_paths, lint_source
+from repro.atoms.dag import AtomicDAG
 from repro.atoms.generation import SAParams
+from repro.buffering.policy import BufferPolicy, Eviction
 from repro.config import ArchConfig
-from repro.framework import AtomicDataflowOptimizer, OptimizerOptions
-from repro.resilience import FaultPlan, FaultSpec
-from repro.scheduling.rounds import Round, Schedule
-
-#: Workloads the self-check pushes through the default pipeline.
-SELF_CHECK_MODELS = ("vgg19_bench", "mobilenet_v2_bench")
-
-#: Deliberately rule-breaking module; every Tier-B rule must fire on it.
-_BAD_SNIPPET = '''\
-def check(cost, seen=[]):
-    if cost == 1.5:
-        seen.append(cost)
-    try:
-        dag.preds[0] = ()
-    except:
-        pass
-    return SystemSimulator(arch, dag)
-'''
-
-_CLEAN_SNIPPET = '''\
-"""Clean module."""
-
-from __future__ import annotations
-
-import math
-
-
-def check(cost: float, seen: list | None = None) -> bool:
-    if math.isclose(cost, 1.5):
-        return True
-    return False
-'''
-
-#: Tier-B rules the bad snippet must trip.
-_LINT_RULES = (
-    "LINT001",
-    "LINT002",
-    "LINT003",
-    "LINT004",
-    "LINT005",
-    "LINT006",
+from repro.fingerprint import request_fingerprint
+from repro.framework import (
+    AtomicDataflowOptimizer,
+    OptimizationOutcome,
+    OptimizerOptions,
 )
+from repro.metrics import RunResult
+from repro.models import get_model
+from repro.obs.tracer import SpanRecord
+from repro.scheduling.rounds import Round, Schedule
+from repro.serialize import solution_to_dict
+from repro.service.events import (
+    TRACE_FORMAT,
+    TRACE_VERSION,
+    EventLog,
+    expected_events,
+)
+from repro.service.jobs import JobJournal, JobRecord
+from repro.service.store import SolutionStore
+from repro.sim import SimTimeline, simulate_timeline
 
-
-def _swap_dependency(schedule: Schedule) -> Schedule:
-    """Move the last Round's atoms into Round 0, breaking dependencies."""
-    first, last = schedule.rounds[0], schedule.rounds[-1]
-    rounds = list(schedule.rounds[1:-1])
-    merged = Round(index=0, atom_indices=last.atom_indices + first.atom_indices)
-    rebuilt = [merged] + [
-        Round(index=t + 1, atom_indices=r.atom_indices)
-        for t, r in enumerate(rounds)
-    ]
-    return Schedule(rounds=rebuilt)
-
-
-def _expect(
-    label: str,
-    report: Report,
-    expect_rules: tuple[str, ...],
-    lines: list[str],
-) -> bool:
-    fired = report.fired_rule_ids()
-    missing = [r for r in expect_rules if r not in fired]
-    if missing:
-        lines.append(
-            f"FAIL {label}: expected rule(s) {missing} to fire; "
-            f"fired: {sorted(fired) or 'none'}"
-        )
-        return False
-    lines.append(f"ok   {label}: fired {sorted(set(expect_rules))}")
-    return True
-
-
-def _expect_clean(label: str, report: Report, lines: list[str]) -> bool:
-    if not report.ok:
-        lines.append(f"FAIL {label}: unexpected errors:\n{report.render()}")
-        return False
-    lines.append(
-        f"ok   {label}: clean ({len(report.checked)} artifact(s), "
-        f"{len(report.warnings)} warning(s))"
-    )
-    return True
-
-
-def run_self_check() -> tuple[bool, str]:
-    """Execute all four legs.
-
-    Returns:
-        (passed, human-readable transcript).
-    """
-    lines: list[str] = []
-    passed = True
-    arch = ArchConfig(mesh_rows=4, mesh_cols=4)
-    options = OptimizerOptions(
-        sa_params=SAParams(max_iterations=12), restarts=1, seed=0
-    )
-
-    from repro.models import get_model
-
-    outcomes = []
-    for name in SELF_CHECK_MODELS:
-        outcome = AtomicDataflowOptimizer(
-            get_model(name), arch, options
-        ).optimize()
-        outcomes.append((name, outcome))
-        passed &= _expect_clean(
-            f"pipeline artifacts [{name}]", validate_outcome(outcome, arch), lines
-        )
-
-    # Staged-pipeline positive: multi-restart, parallel, validating every
-    # intermediate artifact inside the evaluation stage itself.
-    staged = AtomicDataflowOptimizer(
-        get_model(SELF_CHECK_MODELS[0]),
-        arch,
-        replace(options, restarts=2, jobs=2, validate=True),
-    ).optimize()
-    passed &= _expect_clean(
-        f"staged pipeline w/ tracing [{SELF_CHECK_MODELS[0]}]",
-        validate_outcome(staged, arch),
-        lines,
-    )
-
-    # Chaos determinism: the same staged search with a fault injected at
-    # every candidate index and a checkpoint journal attached must
-    # survive, decide bit-identically to the fault-free run above, and
-    # leave AD6xx-clean traces and journal behind.
-    chaos_kinds = ("raise", "kill-worker", "corrupt-result")
-    plan = FaultPlan(
-        specs=tuple(
-            FaultSpec(index=i, kind=chaos_kinds[i % len(chaos_kinds)])
-            for i in range(len(staged.traces))
-        )
-    )
-    with tempfile.TemporaryDirectory(prefix="repro-selfcheck-") as tmp:
-        journal_path = str(Path(tmp) / "chaos.jsonl")
-        chaos = AtomicDataflowOptimizer(
-            get_model(SELF_CHECK_MODELS[0]),
-            arch,
-            replace(
-                options,
-                restarts=2,
-                jobs=2,
-                validate=True,
-                retries=2,
-                faults=plan,
-                checkpoint=journal_path,
-            ),
-        ).optimize()
-
-        def decisions(outcome):
-            return [
-                (t.label, t.accepted, t.reason, t.total_cycles)
-                for t in outcome.traces
-            ]
-
-        if decisions(chaos) != decisions(staged):
-            passed = False
-            lines.append(
-                "FAIL chaos determinism: fault-surviving search diverged "
-                f"from the fault-free run:\n  fault-free: {decisions(staged)}"
-                f"\n  chaos:      {decisions(chaos)}"
-            )
-        else:
-            lines.append(
-                "ok   chaos determinism: faults at every candidate index, "
-                f"bit-identical decisions ({chaos.result.total_cycles} cycles,"
-                f" {chaos.pool_restarts} pool restart(s))"
-            )
-        passed &= _expect_clean(
-            "chaos outcome artifacts", validate_outcome(chaos, arch), lines
-        )
-        passed &= _expect_clean(
-            "chaos checkpoint journal",
-            check_checkpoint_journal(journal_path),
-            lines,
-        )
-
-        # Tampered journal: flip one record's fingerprint → AD601.
-        journal_lines = Path(journal_path).read_text().splitlines()
-        tampered = Path(tmp) / "tampered.jsonl"
-        tampered.write_text(
-            "\n".join(
-                line.replace(
-                    '"fingerprint": "', '"fingerprint": "bad-', 1
-                ) if i == 1 else line
-                for i, line in enumerate(journal_lines)
-            )
-            + "\n"
-        )
-        passed &= _expect(
-            "seeded tampered journal",
-            check_checkpoint_journal(tampered),
-            ("AD601",),
-            lines,
-        )
-
-    # Tempering round-trip: a small replica-exchange search journals its
-    # segments; the journal must pass AD601 + AD604, and seeded
-    # corruptions of the exchange history must each trip AD604.
-    with tempfile.TemporaryDirectory(prefix="repro-selfcheck-pt-") as tmp:
-        pt_journal = str(Path(tmp) / "tempering.jsonl")
-        pt = AtomicDataflowOptimizer(
-            get_model(SELF_CHECK_MODELS[0]),
-            arch,
-            replace(
-                options, rungs=3, exchange_every=4, checkpoint=pt_journal
-            ),
-        ).optimize()
-        passed &= _expect_clean(
-            "tempering outcome artifacts", validate_outcome(pt, arch), lines
-        )
-        pt_report = check_checkpoint_journal(pt_journal)
-        check_tempering_journal(pt_journal, pt_report)
-        passed &= _expect_clean(
-            "tempering segment journal", pt_report, lines
-        )
-
-        segs = [
-            doc
-            for doc in map(json.loads, Path(pt_journal).read_text().splitlines())
-            if isinstance(doc, dict) and doc.get("kind") == "pt-segment"
-        ]
-
-        def corrupt(mutate):
-            copies = json.loads(json.dumps(segs))
-            mutate(copies)
-            return check_tempering_records(copies)
-
-        passed &= _expect(
-            "seeded non-neighbor swap",
-            corrupt(
-                lambda s: s[0]["exchanges"][0].update(
-                    upper=s[0]["exchanges"][0]["lower"] + 2
-                )
-            ),
-            ("AD604",),
-            lines,
-        )
-        passed &= _expect(
-            "seeded decreasing exchange seq",
-            corrupt(lambda s: s[1]["exchanges"][0].update(seq=0)),
-            ("AD604",),
-            lines,
-        )
-        passed &= _expect(
-            "seeded duplicated replica id",
-            corrupt(lambda s: s[0].update(replicas=[0] * s[0]["rungs"])),
-            ("AD604",),
-            lines,
-        )
-
-    # Seeded AD6xx trace negatives: a candidate with two verdicts, and a
-    # retry annotation the search could never have produced.
-    two_verdicts = (
-        replace(
-            staged.traces[0],
-            reason="failed after 2 attempts: boom",
-            error="boom",
-            attempts=2,
-        ),
-    ) + tuple(staged.traces[1:])
-    passed &= _expect(
-        "seeded double-verdict trace",
-        check_resilience_traces(two_verdicts),
-        ("AD602",),
-        lines,
-    )
-    zero_attempts = (replace(staged.traces[0], attempts=0),) + tuple(
-        staged.traces[1:]
-    )
-    passed &= _expect(
-        "seeded zero-attempt trace",
-        check_resilience_traces(zero_attempts),
-        ("AD603",),
-        lines,
-    )
-
-    # Seeded negatives, corrupting the first workload's real artifacts.
-    _, outcome = outcomes[0]
-    dag, schedule, placement = outcome.dag, outcome.schedule, outcome.placement
-
-    passed &= _expect(
-        "seeded dependency swap",
-        validate_artifacts(dag, _swap_dependency(schedule), arch=arch),
-        ("AD203",),
-        lines,
-    )
-
-    first_round = schedule.rounds[0]
-    if len(first_round.atom_indices) >= 2:
-        a, b = first_round.atom_indices[:2]
-        doubled = dict(placement)
-        doubled[b] = doubled[a]
-        passed &= _expect(
-            "seeded duplicate engine-slot",
-            validate_artifacts(dag, schedule, doubled, arch=arch),
-            ("AD302",),
-            lines,
-        )
-
-    phantom_dag = dag.with_views(
-        edge_bytes={**dag.edge_bytes, (dag.num_atoms - 1, 0): 1}
-    )
-    passed &= _expect(
-        "seeded phantom edge_bytes",
-        validate_artifacts(phantom_dag),
-        ("AD104",),
-        lines,
-    )
-
-    truncated = Schedule(rounds=list(schedule.rounds[:-1]))
-    passed &= _expect(
-        "seeded truncated schedule",
-        validate_artifacts(dag, truncated, arch=arch),
-        ("AD201",),
-        lines,
-    )
-
-    # Timeline round-trip: re-simulate the same solution with occupancy
-    # collection; the real timeline must pass every AD7xx rule, and
-    # seeded corruptions of it must each trip the guarding rule.
-    from repro.analysis.timeline_rules import check_timeline
-    from repro.sim import simulate_timeline
-
-    tl_result, timeline = simulate_timeline(
-        arch,
-        dag,
-        schedule,
-        placement,
-        strategy=outcome.result.strategy,
-    )
-    passed &= _expect_clean(
-        f"simulator timeline [{outcomes[0][0]}]",
-        check_timeline(timeline, result=tl_result),
-        lines,
-    )
-    longest = max(timeline.intervals, key=lambda iv: iv.duration)
-    passed &= _expect(
-        "seeded overlapping intervals",
-        check_timeline(replace(timeline, intervals=timeline.intervals + (longest,))),
-        ("AD701",),
-        lines,
-    )
-    tampered_result = replace(
-        tl_result,
-        pe_utilization=(tl_result.pe_utilization + 0.5) % 1.0,
-    )
-    passed &= _expect(
-        "seeded tampered PE utilization",
-        check_timeline(timeline, result=tampered_result),
-        ("AD702",),
-        lines,
-    )
-    if timeline.hbm:
-        saturated = replace(timeline.hbm[0], utilization=1.5)
-        passed &= _expect(
-            "seeded impossible HBM sample",
-            check_timeline(replace(timeline, hbm=timeline.hbm + (saturated,))),
-            ("AD703",),
-            lines,
-        )
-
-    doubly_accepted = tuple(
-        replace(t, accepted=True, reason="selected") for t in staged.traces
-    )
-    passed &= _expect(
-        "seeded doubly-accepted trace",
-        check_search_trace(
-            doubly_accepted, result=staged.result, dag=staged.dag
-        ),
-        ("AD501",),
-        lines,
-    )
-    relabeled = tuple(
-        replace(t, label=staged.traces[0].label) for t in staged.traces
-    )
-    passed &= _expect(
-        "seeded duplicate trace labels",
-        check_search_trace(relabeled),
-        ("AD502",),
-        lines,
-    )
-
-    # Service-state round-trip (AD8xx): real store + journal + admission
-    # snapshot pass; seeded corruptions trip the guarding rules.
-    from repro.analysis.service_rules import (
-        check_admission_accounting,
-        check_job_journal,
-        check_job_leases,
-        check_store,
-    )
-    from repro.fingerprint import request_fingerprint
-    from repro.serialize import solution_to_dict
-    from repro.service.jobs import JobJournal, JobRecord
-    from repro.service.store import SolutionStore
-
-    with tempfile.TemporaryDirectory(prefix="repro-selfcheck-svc-") as tmp:
-        graph = get_model(outcomes[0][0])
-        fingerprint = request_fingerprint(graph, arch, options)
-        store_dir = Path(tmp) / "store"
-        store = SolutionStore(store_dir)
-        store.put(
-            fingerprint,
-            solution_to_dict(outcome, options.dataflow, include_search=False),
-            graph=graph,
-            arch=arch,
-        )
-        passed &= _expect_clean(
-            "service solution store", check_store(store_dir), lines
-        )
-
-        obj_path = store_dir / "objects" / f"{fingerprint}.json"
-        tampered_obj = bytearray(obj_path.read_bytes())
-        tampered_obj[len(tampered_obj) // 2] ^= 0xFF
-        obj_path.write_bytes(bytes(tampered_obj))
-        passed &= _expect(
-            "seeded corrupted store object",
-            check_store(store_dir),
-            ("AD801",),
-            lines,
-        )
-
-        journal_path = Path(tmp) / "jobs.jsonl"
-        jobs_journal = JobJournal(journal_path)
-        jobs_journal.open(header_extras={"max_attempts": 3})
-        job = JobRecord(
-            job_id="job-000001",
-            fingerprint=fingerprint,
-            model=graph.name,
-            tenant="ci",
-        )
-        jobs_journal.record("queued", job)
-        job = job.advanced(
-            "running", runner_id="runner-1", lease_seq=1, attempt=1
-        )
-        jobs_journal.record("running", job)
-        job = job.advanced(
-            "done",
-            total_cycles=outcome.result.total_cycles,
-            search_seconds=1.0,
-        )
-        jobs_journal.record("done", job)
-        jobs_journal.close()
-        clean_journal = check_job_journal(journal_path)
-        check_job_leases(journal_path, clean_journal)
-        passed &= _expect_clean("service job journal", clean_journal, lines)
-
-        with open(journal_path, "a", encoding="utf-8") as fh:
-            fh.write(
-                json.dumps(
-                    {"event": "running", "job": job.advanced("running").to_dict()}
-                )
-                + "\n"
-            )
-        passed &= _expect(
-            "seeded post-terminal job transition",
-            check_job_journal(journal_path),
-            ("AD802",),
-            lines,
-        )
-
-        # Lease lifecycle (AD804-806): a clean retry — lease, crash
-        # requeue, re-lease, done — validates silently; seeded lease
-        # corruptions trip exactly the guarding rule.
-        def lease_journal(events: list[tuple[str, dict]]) -> Path:
-            path = Path(tmp) / "leases.jsonl"
-            base = {
-                "job_id": "job-000001",
-                "fingerprint": fingerprint,
-                "model": graph.name,
-                "tenant": "ci",
-            }
-            journal = JobJournal(path)
-            journal.open(header_extras={"max_attempts": 2})
-            for state, fields in events:
-                journal.record(
-                    state, JobRecord(**base, state=state, **fields)
-                )
-            journal.close()
-            return path
-
-        retried = [
-            ("queued", {}),
-            ("running", {"runner_id": "runner-1", "lease_seq": 1, "attempt": 1}),
-            ("queued", {"lease_seq": 1, "attempt": 1}),
-            ("running", {"runner_id": "runner-2", "lease_seq": 2, "attempt": 2}),
-            ("done", {"runner_id": "runner-2", "lease_seq": 2, "attempt": 2}),
-        ]
-        passed &= _expect_clean(
-            "service lease lifecycle",
-            check_job_leases(lease_journal(retried)),
-            lines,
-        )
-        regressed = list(retried)
-        regressed[3] = (
-            "running",
-            {"runner_id": "runner-2", "lease_seq": 1, "attempt": 2},
-        )
-        passed &= _expect(
-            "seeded lease-clock regression",
-            check_job_leases(lease_journal(regressed)),
-            ("AD804",),
-            lines,
-        )
-        orphaned = retried[:2]
-        passed &= _expect(
-            "seeded orphaned lease",
-            check_job_leases(lease_journal(orphaned)),
-            ("AD805",),
-            lines,
-        )
-        over_cap = retried[:3] + [
-            ("running", {"runner_id": "runner-2", "lease_seq": 2, "attempt": 2}),
-            ("queued", {"lease_seq": 2, "attempt": 2}),
-            ("running", {"runner_id": "runner-1", "lease_seq": 3, "attempt": 3}),
-            ("failed", {"runner_id": "runner-1", "lease_seq": 3, "attempt": 3}),
-        ]
-        passed &= _expect(
-            "seeded retry-cap overrun",
-            check_job_leases(lease_journal(over_cap)),
-            ("AD806",),
-            lines,
-        )
-
-        # Event-log agreement (AD807): a log derived from the journal's
-        # own oracle validates silently; a dropped or mislabeled event
-        # trips the rule.
-        from repro.analysis.service_rules import (
-            check_event_log,
-            check_trace_file,
-        )
-        from repro.service.events import (
-            TRACE_FORMAT,
-            TRACE_VERSION,
-            EventLog,
-            expected_events,
-        )
-
-        traced = [
-            (state, {**fields, "trace_id": "tr-selfcheck01"})
-            for state, fields in retried
-        ]
-        events_journal = lease_journal(traced)
-
-        def write_event_log(
-            name: str, drop_kind: str | None = None, trace_id: str | None = None
-        ) -> Path:
-            path = Path(tmp) / name
-            log = EventLog(path)
-            log.open()
-            for job_id, entries in sorted(
-                expected_events(events_journal).items()
-            ):
-                for entry in entries:
-                    if entry["kind"] == drop_kind:
-                        continue
-                    log.append(
-                        entry["kind"],
-                        job_id,
-                        trace_id=trace_id or entry["trace_id"],
-                        state=entry["state"],
-                    )
-            log.close()
-            return path
-
-        passed &= _expect_clean(
-            "service event log",
-            check_event_log(write_event_log("ev-clean.jsonl"), events_journal),
-            lines,
-        )
-        passed &= _expect(
-            "seeded missing lease event",
-            check_event_log(
-                write_event_log("ev-missing.jsonl", drop_kind="lease"),
-                events_journal,
-            ),
-            ("AD807",),
-            lines,
-        )
-        passed &= _expect(
-            "seeded mismatched event trace id",
-            check_event_log(
-                write_event_log("ev-trace.jsonl", trace_id="tr-wrong"),
-                events_journal,
-            ),
-            ("AD807",),
-            lines,
-        )
-
-        # Span-tree well-formedness (AD808): a nested forest validates
-        # silently; structural corruptions trip the rule.
-        from repro.obs.tracer import SpanRecord
-
-        def svc_span(name: str, start: float, dur: float, sid: int,
-                     parent: int, pid: int = 1000, **args: str) -> SpanRecord:
-            return SpanRecord(
-                name=name, category="service", start_us=start,
-                duration_us=dur, pid=pid, tid=1, span_id=sid,
-                parent_id=parent, args=tuple(sorted(args.items())),
-            )
-
-        root_span = svc_span(
-            "service.job", 0.0, 1000.0, 1, 0, trace="tr-selfcheck01"
-        )
-        tree = [
-            root_span,
-            svc_span("service.queue_wait", 10.0, 90.0, 2, 1),
-            svc_span("service.lease", 100.0, 800.0, 3, 1),
-            svc_span("search.pipeline", 150.0, 700.0, 4, 3),
-            svc_span("stage.sim", 200.0, 100.0, 1, 0, pid=2000),
-        ]
-
-        def trace_doc(name: str, spans: list[SpanRecord]) -> Path:
-            path = Path(tmp) / name
-            path.write_text(
-                json.dumps(
-                    {
-                        "format": TRACE_FORMAT,
-                        "version": TRACE_VERSION,
-                        "job_id": "job-000001",
-                        "trace_id": "tr-selfcheck01",
-                        "root_pid": 1000,
-                        "spans": [s.to_dict() for s in spans],
-                    },
-                    sort_keys=True,
-                ),
-                encoding="utf-8",
-            )
-            return path
-
-        passed &= _expect_clean(
-            "service job trace",
-            check_trace_file(trace_doc("tr-clean.json", tree)),
-            lines,
-        )
-        passed &= _expect(
-            "seeded double-rooted trace",
-            check_trace_file(
-                trace_doc(
-                    "tr-roots.json",
-                    tree + [svc_span("service.job", 0.0, 1000.0, 9, 0)],
-                )
-            ),
-            ("AD808",),
-            lines,
-        )
-        passed &= _expect(
-            "seeded orphan span parent",
-            check_trace_file(
-                trace_doc(
-                    "tr-orphan.json",
-                    tree + [svc_span("sa.anneal", 200.0, 100.0, 9, 99)],
-                )
-            ),
-            ("AD808",),
-            lines,
-        )
-        passed &= _expect(
-            "seeded child window overflow",
-            check_trace_file(
-                trace_doc(
-                    "tr-window.json",
-                    tree + [svc_span("sa.anneal", 850.0, 100.0, 9, 3)],
-                )
-            ),
-            ("AD808",),
-            lines,
-        )
-
-    snapshot = {
+_PACKAGE = Path(repro.__file__).parent
+_TRACE_ID = "tr-selfcheck01"
+_LEASE_1 = {"runner_id": "runner-1", "lease_seq": 1, "attempt": 1}
+_LEASE_2 = {"runner_id": "runner-2", "lease_seq": 2, "attempt": 2}
+_LEASE_3 = {"runner_id": "runner-1", "lease_seq": 3, "attempt": 3}
+#: A job's clean lifecycle: lease, crash requeue, re-lease, done.
+_RETRIED = (
+    ("queued", {}),
+    ("running", _LEASE_1),
+    ("queued", {"lease_seq": 1, "attempt": 1}),
+    ("running", _LEASE_2),
+    ("done", {**_LEASE_2, "total_cycles": 1000}),
+)
+#: A consistent admission snapshot and the live job table behind it.
+_ADMISSION = (
+    {
         "max_queue_depth": 4,
         "default_quota": 2,
         "quotas": {},
         "in_flight": {"ci": 1},
         "total_in_flight": 1,
-    }
-    live_jobs = {
-        "job-000002": JobRecord(
-            job_id="job-000002",
-            fingerprint=fingerprint,
-            model=graph.name,
-            tenant="ci",
-            state="queued",
-        )
-    }
-    passed &= _expect_clean(
-        "service admission accounting",
-        check_admission_accounting(snapshot, live_jobs),
-        lines,
-    )
-    passed &= _expect(
-        "seeded over-quota accounting",
-        check_admission_accounting(
-            {**snapshot, "in_flight": {"ci": 5}, "total_in_flight": 5},
-            live_jobs,
-        ),
-        ("AD803",),
-        lines,
+    },
+    {"job-000002": {"state": "queued", "tenant": "ci"}},
+)
+
+
+def _span(
+    name: str, start: float, dur: float, sid: int, parent: int,
+    pid: int = 1000, **args: str,
+) -> SpanRecord:
+    return SpanRecord(
+        name=name, category="service", start_us=start, duration_us=dur,
+        pid=pid, tid=1, span_id=sid, parent_id=parent,
+        args=tuple(sorted(args.items())),
     )
 
-    # Tier-B round-trip.
-    passed &= _expect(
-        "lint bad snippet",
-        lint_source(_BAD_SNIPPET, "bad_snippet.py"),
-        _LINT_RULES,
-        lines,
+
+#: A well-formed job trace: one root, nested windows, a worker's forest.
+_TREE = (
+    _span("service.job", 0.0, 1000.0, 1, 0, trace=_TRACE_ID),
+    _span("service.queue_wait", 10.0, 90.0, 2, 1),
+    _span("service.lease", 100.0, 800.0, 3, 1),
+    _span("search.pipeline", 150.0, 700.0, 4, 3),
+    _span("stage.sim", 200.0, 100.0, 1, 0, pid=2000),
+)
+
+
+@dataclass(frozen=True)
+class Artifacts:
+    """The shared artifacts every row corrupts a copy of.
+
+    Attributes:
+        root: Temporary directory holding every file below; removed when
+            the owning ``TemporaryDirectory`` (``keep``) is collected.
+        outcome: The ``restarts=2`` search; ``dag``, ``schedule`` and
+            ``placement`` are its winner's.
+        result / timeline: ``simulate_timeline`` of the winner.
+        checkpoint / tempering: The search's checkpoint journal and a
+            3-rung tempering search's segment journal.
+        store: Store directory holding the winner, published through Tier A.
+        jobs / events / trace: Job journal of :data:`_RETRIED`, its event
+            log, and a job trace document of :data:`_TREE`.
+    """
+
+    keep: tempfile.TemporaryDirectory[str]
+    root: Path
+    arch: ArchConfig
+    outcome: OptimizationOutcome
+    dag: AtomicDAG
+    schedule: Schedule
+    placement: dict[int, int]
+    result: RunResult
+    timeline: SimTimeline
+    checkpoint: Path
+    tempering: Path
+    store: Path
+    jobs: Path
+    events: Path
+    trace: Path
+
+    def fresh(self, name: str) -> Path:
+        """A file path in a new directory, for a row that writes a file."""
+        return Path(tempfile.mkdtemp(dir=self.root)) / name
+
+
+def _write_jobs(path: Path, events) -> Path:
+    journal = JobJournal(path)
+    journal.open(header_extras={"max_attempts": 2})
+    for state, fields in events:
+        journal.record(state, JobRecord(
+            job_id="job-000001", fingerprint="ab" * 32, model="vgg19_bench",
+            tenant="ci", trace_id=_TRACE_ID, state=state, **fields,
+        ))
+    journal.close()
+    return path
+
+
+def _write_events(path: Path, jobs: Path, drop: str = "") -> Path:
+    """The event log ``jobs`` implies, without events of kind ``drop``."""
+    log = EventLog(path)
+    log.open()
+    for job_id, entries in sorted(expected_events(jobs).items()):
+        for e in entries:
+            if e["kind"] != drop:
+                log.append(
+                    e["kind"], job_id, trace_id=e["trace_id"], state=e["state"]
+                )
+    log.close()
+    return path
+
+
+def _write_trace(path: Path, spans) -> Path:
+    path.write_text(json.dumps({
+        "format": TRACE_FORMAT, "version": TRACE_VERSION,
+        "job_id": "job-000001", "trace_id": _TRACE_ID, "root_pid": 1000,
+        "spans": [s.to_dict() for s in spans],
+    }, sort_keys=True), encoding="utf-8")
+    return path
+
+
+@functools.lru_cache(maxsize=1)
+def shared_artifacts() -> Artifacts:
+    """Build the shared artifacts (once per process)."""
+    keep = tempfile.TemporaryDirectory(prefix="repro-selfcheck-")
+    root = Path(keep.name)
+    checkpoint, tempering = root / "checkpoint.jsonl", root / "tempering.jsonl"
+    arch = ArchConfig(mesh_rows=4, mesh_cols=4)
+    graph = get_model("vgg19_bench")
+    options = OptimizerOptions(
+        sa_params=SAParams(max_iterations=12), restarts=2, seed=0
     )
-    passed &= _expect_clean(
-        "lint clean snippet", lint_source(_CLEAN_SNIPPET, "clean_snippet.py"), lines
+    outcome = AtomicDataflowOptimizer(
+        graph, arch, replace(options, checkpoint=str(checkpoint))
+    ).optimize()
+    AtomicDataflowOptimizer(graph, arch, replace(
+        options, restarts=1, rungs=3, exchange_every=4,
+        checkpoint=str(tempering),
+    )).optimize()
+    result, timeline = simulate_timeline(
+        arch, outcome.dag, outcome.schedule, outcome.placement,
+        strategy=outcome.result.strategy,
     )
-    passed &= _expect_clean(
-        "lint repro source tree",
-        lint_paths([Path(repro.__file__).parent]),
-        lines,
+    SolutionStore(root / "store").put(
+        request_fingerprint(graph, arch, options),
+        solution_to_dict(outcome, options.dataflow, include_search=False),
+        graph=graph,
+        arch=arch,
+    )
+    jobs = _write_jobs(root / "jobs.jsonl", _RETRIED)
+    return Artifacts(
+        keep=keep, root=root, arch=arch, outcome=outcome, dag=outcome.dag,
+        schedule=outcome.schedule, placement=outcome.placement,
+        result=result, timeline=timeline, checkpoint=checkpoint,
+        tempering=tempering, store=root / "store", jobs=jobs,
+        events=_write_events(root / "events.jsonl", jobs),
+        trace=_write_trace(root / "trace.json", _TREE),
     )
 
-    # Tier-C round-trip: every planted hazard detected, clean control
-    # silent, and the installed source tree clean after suppressions.
-    from repro.analysis.static import run_static_analysis, run_static_self_check
 
-    static_ok, static_transcript = run_static_self_check()
-    if static_ok:
-        lines.append("ok   static planted hazards: all rules detected")
-    else:
-        passed = False
-        lines.append(f"FAIL static planted hazards:\n{static_transcript}")
-    passed &= _expect_clean(
-        "static repro source tree",
-        run_static_analysis([Path(repro.__file__).parent]).report,
-        lines,
+def _patched(seq, index: int, value) -> list:
+    """A copy of ``seq`` with ``seq[index]`` replaced by ``value``."""
+    out = list(seq)
+    out[index] = value
+    return out
+
+
+def _validate(a: Artifacts, schedule=None, placement=None, **kw) -> Report:
+    """Tier A over the winner with its schedule or placement replaced."""
+    return validate_artifacts(
+        a.dag, schedule or a.schedule, placement or a.placement,
+        arch=a.arch, **kw,
     )
 
+
+def _cycle(a: Artifacts) -> Report:
+    """Add the reverse of one edge, consistently on every view."""
+    dag = a.dag
+    consumer = next(i for i, ps in enumerate(dag.preds) if ps)
+    producer = dag.preds[consumer][0]
+    return check_dag(dag.with_views(
+        preds=_patched(dag.preds, producer, dag.preds[producer] + (consumer,)),
+        succs=_patched(dag.succs, consumer, dag.succs[consumer] + (producer,)),
+        edge_bytes={**dag.edge_bytes, (consumer, producer): 1},
+    ))
+
+
+def _uncovered(a: Artifacts) -> Report:
+    """One layer's grid loses its last tile."""
+    layer, grid = next(iter(a.dag.grids.items()))
+    short = SimpleNamespace(shape=grid.shape, regions=lambda: grid.regions()[:-1])
+    return check_dag(replace(a.dag, grids={**a.dag.grids, layer: short}))
+
+
+def _swapped(a: Artifacts) -> Report:
+    """Rounds 0 and 1 trade places, keeping every Round's width."""
+    r0, r1, *rest = a.schedule.rounds
+    return _validate(a, Schedule(rounds=[
+        Round(0, r1.atom_indices), Round(1, r0.atom_indices), *rest
+    ]))
+
+
+def _shared_engine(a: Artifacts) -> Report:
+    first, second = a.schedule.rounds[0].atom_indices[:2]
+    return _validate(a, placement={**a.placement, second: a.placement[first]})
+
+
+class _UnderFreeing(BufferPolicy):
+    """Algorithm 3 that never evicts, so stores overflow."""
+
+    def make_room(self, buffer, needed_bytes, t0):
+        return []
+
+
+class _Flushing(BufferPolicy):
+    """Algorithm 3 that empties the buffer before every store."""
+
+    def make_room(self, buffer, needed_bytes, t0):
+        return [
+            Eviction(key, buffer.release(key), 0) for key in list(buffer.keys())
+        ]
+
+
+def _buffering(a: Artifacts, capacity: int, policy=None) -> Report:
+    return check_buffering(
+        a.dag, a.schedule, a.placement, a.arch.num_engines, capacity,
+        policy=policy and policy(a.dag, a.schedule),
+    )
+
+
+def _tampered_checkpoint(a: Artifacts) -> Report:
+    """Record 1's fingerprint no longer matches its embedded trace."""
+    lines = a.checkpoint.read_text().splitlines()
+    lines[1] = lines[1].replace('"fingerprint": "', '"fingerprint": "bad-', 1)
+    path = a.fresh("checkpoint.jsonl")
+    path.write_text("\n".join(lines) + "\n")
+    return check_checkpoint_journal(path)
+
+
+def _non_neighbor_swap(a: Artifacts) -> Report:
+    docs = [json.loads(line) for line in a.tempering.read_text().splitlines()]
+    segments = [d for d in docs if d.get("kind") == "pt-segment"]
+    swap = segments[0]["exchanges"][0]
+    swap["upper"] = swap["lower"] + 2
+    return check_tempering_records(segments)
+
+
+def _corrupted_store(a: Artifacts) -> Report:
+    """Flip one byte of the stored solution object."""
+    root = a.fresh("store")
+    shutil.copytree(a.store, root)
+    [obj] = (root / "objects").iterdir()
+    data = bytearray(obj.read_bytes())
+    data[len(data) // 2] ^= 0xFF
+    obj.write_bytes(bytes(data))
+    return check_store(root)
+
+
+def _leases(a: Artifacts, events) -> Report:
+    return check_job_leases(_write_jobs(a.fresh("jobs.jsonl"), events))
+
+
+def _lint(source: str, a: Artifacts) -> Report:
+    return lint_source(source, "seeded.py")
+
+
+def _static(source: str, a: Artifacts) -> Report:
+    path = a.fresh("seeded.py")
+    path.write_text(textwrap.dedent(source).lstrip())
+    return run_static_analysis([path]).report
+
+
+_FUTURE = "from __future__ import annotations\n\n"
+
+#: Tier-B rule -> (label, module seeding only that rule).
+_LINT_SNIPPETS = {
+    "LINT001": ("float literal equality",
+                _FUTURE + "def check(cost):\n    return cost == 1.5\n"),
+    "LINT002": ("DAG flat array assignment",
+                _FUTURE + "def wipe(dag):\n    dag.preds[0] = ()\n"),
+    "LINT003": ("module without the future import", "x = 1\n"),
+    "LINT004": ("bare except", _FUTURE + (
+        "def guard(step):\n    try:\n        step()\n"
+        "    except:\n        pass\n")),
+    "LINT005": ("mutable default argument", _FUTURE + (
+        "def collect(cost, seen=[]):\n    seen.append(cost)\n"
+        "    return seen\n")),
+    "LINT006": ("direct simulator construction", _FUTURE + (
+        "def simulate(arch, dag):\n    return SystemSimulator(arch, dag)\n")),
+}
+
+#: Tier-C rule -> (label, module planting only that hazard).
+_STATIC_HAZARDS = {
+    "LINT007": ("process-global RNG", """
+        from __future__ import annotations
+
+        import numpy as np
+
+        def jitter(values):
+            np.random.shuffle(values)
+            return values
+        """),
+    "LINT008": ("clock reading decides a branch", """
+        from __future__ import annotations
+
+        import time
+
+        def pick(a, b):
+            now = time.perf_counter()
+            if now > 100.0:
+                return a
+            return b
+        """),
+    "LINT009": ("set iteration feeds ordered output", """
+        from __future__ import annotations
+
+        def emit_order(items):
+            pending = set(items)
+            return [x for x in pending]
+        """),
+    "LINT010": ("worker mutates the shared context", """
+        from __future__ import annotations
+
+        def _task(payload, ctx: SearchContext):
+            ctx.best = payload
+            return payload
+
+        def fan_out(pool, payloads):
+            return list(pool.map(_task, payloads))
+        """),
+    "LINT011": ("worker writes a module global", """
+        from __future__ import annotations
+
+        _CACHE = {}
+
+        def _work(item):
+            _CACHE[item] = True
+            return item
+
+        def fan_out(pool, items):
+            return list(pool.map(_work, items))
+        """),
+    "LINT012": ("float ceil of a division", """
+        from __future__ import annotations
+
+        import math
+
+        def tiles(total, size):
+            return math.ceil(total / size)
+        """),
+    "LINT013": ("product without an int64 accumulator", """
+        from __future__ import annotations
+
+        import numpy as np
+
+        def volume(shape):
+            return np.prod(shape)
+        """),
+}
+
+#: Must give no Tier-C finding: seeded rng, sorted set, integer ceil.
+_CLEAN_CONTROL = """
+    from __future__ import annotations
+
+    import numpy as np
+
+    def ceil_div(a, b):
+        return -(-a // b)
+
+    def centered(values, rng: np.random.Generator):
+        ordered = sorted(set(values))
+        return [float(rng.normal()) for _ in ordered]
+    """
+
+
+class Case(NamedTuple):
+    """One seeded violation: ``build(artifacts)`` fires exactly ``rule``."""
+
+    rule: str
+    label: str
+    build: Callable[[Artifacts], Report]
+
+
+#: One row per registered rule, sorted by rule id.
+CASES: tuple[Case, ...] = (
+    Case("AD101", "preds view one entry longer than the atoms",
+         lambda a: check_dag(a.dag.with_views(preds=[*a.dag.preds, ()]))),
+    Case("AD102", "succ edge without its pred", lambda a: check_dag(
+        a.dag.with_views(succs=_patched(
+            a.dag.succs, 0, a.dag.succs[0] + (a.dag.num_atoms - 1,)
+        )))),
+    Case("AD103", "reversed edge closes a cycle", _cycle),
+    Case("AD104", "phantom edge_bytes entry", lambda a: check_dag(
+        a.dag.with_views(
+            edge_bytes={**a.dag.edge_bytes, (a.dag.num_atoms - 1, 0): 1}
+        ))),
+    Case("AD105", "batch of 2 that never replicated sample 1",
+         lambda a: check_dag(replace(a.dag, batch=2))),
+    Case("AD106", "tile grid missing its last tile", _uncovered),
+    Case("AD201", "schedule without its last Round", lambda a: _validate(
+        a, Schedule(rounds=a.schedule.rounds[:-1]))),
+    Case("AD202", "empty trailing Round", lambda a: _validate(a, Schedule(
+        rounds=[*a.schedule.rounds, Round(a.schedule.num_rounds, ())]))),
+    Case("AD203", "Rounds 0 and 1 swapped", _swapped),
+    Case("AD204", "misnumbered last Round", lambda a: _validate(a, Schedule(
+        rounds=_patched(a.schedule.rounds, -1, replace(
+            a.schedule.rounds[-1], index=a.schedule.num_rounds + 1))))),
+    Case("AD205", "reported cost no recomputation gives",
+         lambda a: _validate(a, expected_cost=-1.0)),
+    Case("AD301", "scheduled atom without an engine", lambda a: _validate(
+        a, placement={k: v for k, v in a.placement.items() if k != 0})),
+    Case("AD302", "two atoms of Round 0 on one engine", _shared_engine),
+    Case("AD303", "atom placed past the mesh", lambda a: _validate(
+        a, placement={**a.placement, 0: a.arch.num_engines})),
+    Case("AD401", "eviction policy that never evicts", lambda a: _buffering(
+        a, a.arch.engine.buffer_bytes, _UnderFreeing)),
+    Case("AD402", "eviction policy that flushes every store",
+         lambda a: _buffering(a, a.arch.engine.buffer_bytes, _Flushing)),
+    Case("AD403", "buffer half the largest atom output", lambda a: _buffering(
+        a, max(a.dag.atom_ofmap_bytes) // 2)),
+    Case("AD501", "every candidate accepted", lambda a: check_search_trace(
+        [replace(t, accepted=True, reason="selected")
+         for t in a.outcome.traces],
+        result=a.outcome.result, dag=a.dag)),
+    Case("AD502", "every candidate under one label",
+         lambda a: check_search_trace([
+             replace(t, label=a.outcome.traces[0].label)
+             for t in a.outcome.traces])),
+    Case("AD601", "checkpoint record with a foreign fingerprint",
+         _tampered_checkpoint),
+    Case("AD602", "evaluated candidate also failed",
+         lambda a: check_resilience_traces(_patched(
+             a.outcome.traces, 0, replace(
+                 a.outcome.traces[0], reason="failed after 2 attempts: boom",
+                 error="boom", attempts=2)))),
+    Case("AD603", "candidate with zero attempts",
+         lambda a: check_resilience_traces(_patched(
+             a.outcome.traces, 0, replace(a.outcome.traces[0], attempts=0)))),
+    Case("AD604", "non-neighbor rung swap", _non_neighbor_swap),
+    Case("AD701", "duplicated engine interval", lambda a: check_timeline(
+        replace(a.timeline,
+                intervals=a.timeline.intervals + a.timeline.intervals[:1]))),
+    Case("AD702", "tampered PE utilization", lambda a: check_timeline(
+        a.timeline, result=replace(
+            a.result, pe_utilization=(a.result.pe_utilization + 0.5) % 1.0))),
+    Case("AD703", "HBM sample above full bandwidth", lambda a: check_timeline(
+        replace(a.timeline, hbm=_patched(a.timeline.hbm, 0, replace(
+            a.timeline.hbm[0], utilization=1.5))))),
+    Case("AD801", "flipped byte in a stored object", _corrupted_store),
+    Case("AD802", "transition after the terminal state",
+         lambda a: check_job_journal(_write_jobs(
+             a.fresh("jobs.jsonl"), _RETRIED + (("running", _LEASE_2),)))),
+    Case("AD803", "tenant over its quota",
+         lambda a: check_admission_accounting(
+             {**_ADMISSION[0], "in_flight": {"ci": 5}, "total_in_flight": 5},
+             _ADMISSION[1])),
+    Case("AD804", "lease clock runs backwards", lambda a: _leases(
+        a, _patched(_RETRIED, 3, ("running", {**_LEASE_2, "lease_seq": 1})))),
+    Case("AD805", "journal ends mid-lease",
+         lambda a: _leases(a, _RETRIED[:2])),
+    Case("AD806", "third lease over a cap of two", lambda a: _leases(
+        a, _RETRIED[:4] + (
+            ("queued", {"lease_seq": 2, "attempt": 2}),
+            ("running", _LEASE_3), ("failed", _LEASE_3)))),
+    Case("AD807", "event log missing its lease events",
+         lambda a: check_event_log(
+             _write_events(a.fresh("events.jsonl"), a.jobs, drop="lease"),
+             a.jobs)),
+    Case("AD808", "job trace with two roots", lambda a: check_trace_file(
+        _write_trace(a.fresh("trace.json"), _TREE + (
+            _span("service.job", 0.0, 1000.0, 9, 0),)))),
+    *(Case(rule, label, functools.partial(_lint, source))
+      for rule, (label, source) in _LINT_SNIPPETS.items()),
+    *(Case(rule, label, functools.partial(_static, source))
+      for rule, (label, source) in _STATIC_HAZARDS.items()),
+)
+
+
+def clean_reports(a: Artifacts) -> list[tuple[str, Report]]:
+    """The clean legs, as ``(label, report)``; no report may fire.
+
+    Every shared artifact through its checkers, the Tier-C clean control
+    module, and the Tier-B lint of the installed ``repro`` tree.
+    """
+    tempering = check_checkpoint_journal(a.tempering)
+    check_tempering_journal(a.tempering, tempering)
+    jobs = check_job_journal(a.jobs)
+    check_job_leases(a.jobs, jobs)
+    return [
+        ("pipeline artifacts [vgg19_bench]", validate_outcome(a.outcome, a.arch)),
+        ("checkpoint journal", check_checkpoint_journal(a.checkpoint)),
+        ("simulator timeline", check_timeline(a.timeline, result=a.result)),
+        ("tempering journal", tempering),
+        ("solution store", check_store(a.store)),
+        ("job journal", jobs),
+        ("event log", check_event_log(a.events, a.jobs)),
+        ("job trace", check_trace_file(a.trace)),
+        ("admission accounting", check_admission_accounting(*_ADMISSION)),
+        ("static clean control", _static(_CLEAN_CONTROL, a)),
+        ("lint repro source tree", lint_paths([_PACKAGE])),
+    ]
+
+
+def run_self_check() -> tuple[bool, str]:
+    """Run the clean legs, the Tier-C pass over ``repro``, and every row.
+
+    Returns:
+        (passed, human-readable transcript).
+    """
+    a = shared_artifacts()
+    legs = clean_reports(a) + [
+        ("static repro source tree", run_static_analysis([_PACKAGE]).report)
+    ]
+    lines = [
+        f"FAIL {label}: unexpected findings:\n{report.render()}"
+        if report.diagnostics
+        else f"ok   {label}: clean ({len(report.checked)} artifact(s))"
+        for label, report in legs
+    ]
+    for case in CASES:
+        fired = sorted(case.build(a).fired_rule_ids())
+        verdict = "ok  " if fired == [case.rule] else "FAIL"
+        lines.append(f"{verdict} {case.rule} {case.label}: fired {fired}")
+    passed = all(line.startswith("ok") for line in lines)
     lines.append("self-check PASSED" if passed else "self-check FAILED")
     return passed, "\n".join(lines)

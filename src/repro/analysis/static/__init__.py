@@ -7,7 +7,6 @@ Public surface:
   --static`` calls);
 * :func:`run_passes`, :func:`build_call_graph`, :func:`summarize_all` —
   the raw machinery, for tests and tooling;
-* :func:`run_static_self_check` — planted-hazard gate;
 * :data:`STATIC_RULES` — LINT007–LINT013 catalog.
 """
 
@@ -40,7 +39,6 @@ from repro.analysis.static.loader import (
     module_name_for,
     parse_suppressions,
 )
-from repro.analysis.static.selfcheck import run_static_self_check
 from repro.analysis.static.summaries import (
     FunctionSummary,
     MutationFact,
@@ -69,7 +67,6 @@ __all__ = [
     "parse_suppressions",
     "run_passes",
     "run_static_analysis",
-    "run_static_self_check",
     "save_baseline",
     "summarize_all",
     "summarize_function",

@@ -56,7 +56,8 @@ from repro.report import (
 from repro.serialize import save_search_trace, save_solution
 
 
-def _parse_mesh(spec: str) -> tuple[int, int]:
+def parse_mesh(spec: str) -> tuple[int, int]:
+    """An ``RxC`` engine-grid option value as ``(rows, cols)``."""
     try:
         rows, cols = spec.lower().split("x")
         return int(rows), int(cols)
@@ -74,7 +75,7 @@ def _arch_from_args(args: argparse.Namespace) -> ArchConfig:
 def _add_common(p: argparse.ArgumentParser) -> None:
     p.add_argument("--model", required=True, help="model zoo name")
     p.add_argument(
-        "--mesh", type=_parse_mesh, default=(4, 4),
+        "--mesh", type=parse_mesh, default=(4, 4),
         help="engine grid, e.g. 8x8 (default 4x4)",
     )
     p.add_argument("--batch", type=int, default=1)
@@ -445,33 +446,10 @@ def _cmd_profile(args: argparse.Namespace) -> int:
 
 
 def _cmd_check(args: argparse.Namespace) -> int:
-    """Delegate to the :mod:`repro.analysis` CLI (same flags)."""
+    """Run the :mod:`repro.analysis` CLI on the ``check`` arguments."""
     from repro.analysis.__main__ import main as analysis_main
 
-    forwarded: list[str] = list(args.paths)
-    if args.self_check:
-        forwarded.append("--self-check")
-    if args.list_rules:
-        forwarded.append("--list-rules")
-    if args.json:
-        forwarded.append("--json")
-    if args.static:
-        forwarded.append("--static")
-    if args.baseline:
-        forwarded += ["--baseline", args.baseline]
-    if args.update_baseline:
-        forwarded.append("--update-baseline")
-    if args.journal:
-        forwarded += ["--journal", args.journal]
-    if args.check_store:
-        forwarded += ["--store", args.check_store]
-    if args.artifact:
-        forwarded += ["--artifact", args.artifact]
-        if args.model:
-            forwarded += ["--model", args.model]
-        rows, cols = args.mesh
-        forwarded += ["--mesh", f"{rows}x{cols}"]
-    return analysis_main(forwarded)
+    return analysis_main(args.analysis_argv, prog="repro check")
 
 
 def _cmd_serve(args: argparse.Namespace) -> int:
@@ -824,7 +802,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(p_dse)
     p_dse.set_defaults(scheduler="greedy")
     p_dse.add_argument(
-        "--budget-mesh", type=_parse_mesh, default=(4, 4),
+        "--budget-mesh", type=parse_mesh, default=(4, 4),
         help="budget expressed as an equivalent engine grid (default 4x4)",
     )
 
@@ -833,7 +811,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_prof.add_argument("--model", required=True, help="model zoo name")
     p_prof.add_argument(
-        "--mesh", type=_parse_mesh, default=(4, 4),
+        "--mesh", type=parse_mesh, default=(4, 4),
         help="engine grid the solution targets (default 4x4)",
     )
     p_prof.add_argument(
@@ -992,52 +970,24 @@ def build_parser() -> argparse.ArgumentParser:
     p_cgc = cache_sub.add_parser("gc", help="evict LRU entries over a cap")
     p_cgc.add_argument("--max-bytes", type=int, required=True)
 
-    p_chk = sub.add_parser(
-        "check", help="static verification (lint / artifact validation)"
-    )
-    p_chk.add_argument(
-        "paths", nargs="*",
-        help="files/directories to lint (default: the repro package)",
-    )
-    p_chk.add_argument("--self-check", action="store_true")
-    p_chk.add_argument("--list-rules", action="store_true")
-    p_chk.add_argument("--json", action="store_true")
-    p_chk.add_argument(
-        "--static", action="store_true",
-        help="run the Tier-C interprocedural passes (LINT007-LINT013)",
-    )
-    p_chk.add_argument(
-        "--baseline", metavar="JSON",
-        help="ratchet baseline for --static "
-        "(default: tools/static_baseline.json when present)",
-    )
-    p_chk.add_argument(
-        "--update-baseline", action="store_true",
-        help="rewrite the --static baseline from current findings",
-    )
-    p_chk.add_argument(
-        "--artifact", help="solution JSON to validate (Tier A)"
-    )
-    p_chk.add_argument(
-        "--journal", metavar="JSONL",
-        help="checkpoint journal to validate (Tier A, AD601)",
-    )
-    p_chk.add_argument(
-        "--store", dest="check_store", metavar="DIR",
-        help="solution store / serve state directory to validate "
-        "(Tier A, AD801/AD802)",
-    )
-    p_chk.add_argument("--model", help="zoo model of the --artifact solution")
-    p_chk.add_argument(
-        "--mesh", type=_parse_mesh, default=(8, 8),
-        help="engine grid the --artifact solution targets (default 8x8)",
+    # Every `repro check` argument belongs to `python -m repro.analysis`
+    # and is handed to it unparsed (see main).
+    sub.add_parser(
+        "check", add_help=False,
+        help="static verification (lint / artifact validation); takes "
+        "the arguments of python -m repro.analysis",
     )
     return parser
 
 
 def main(argv: list[str] | None = None) -> int:
     """CLI entry point."""
-    args = build_parser().parse_args(argv)
+    parser = build_parser()
+    args, rest = parser.parse_known_args(argv)
+    if args.command == "check":
+        args.analysis_argv = rest
+    elif rest:
+        parser.error(f"unrecognized arguments: {' '.join(rest)}")
     configure_logging(args.verbose)
     handlers = {
         "models": _cmd_models,

@@ -123,8 +123,8 @@ class OptimizerOptions:
             re-evaluating them.  Requires ``checkpoint``; the journal key
             (workload + architecture + every search knob) must match.
         faults: Deterministic fault-injection plan
-            (:class:`~repro.resilience.FaultPlan`) — tests and the chaos
-            self-check leg only, never production searches.
+            (:class:`~repro.resilience.FaultPlan`) — the chaos tests
+            only, never production searches.
     """
 
     dataflow: str = "kc"

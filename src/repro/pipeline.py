@@ -1054,6 +1054,40 @@ def identity_sections(
     }
 
 
+def bind_identities(
+    dag: AtomicDAG, sections: dict
+) -> tuple[Schedule, dict[int, int], list[tuple[str, AtomId]]]:
+    """Resolve :func:`identity_sections` ``rounds``/``placement`` on a DAG.
+
+    One pass over the identities.  An identity that names no atom of
+    ``dag`` is left out of the schedule or placement and returned as
+    ``(where, atom_id)``, ``where`` being ``"round t"`` or
+    ``"placement"``, so each caller applies its own policy.
+
+    Returns:
+        ``(schedule, placement, unresolved)``.
+    """
+    unresolved: list[tuple[str, AtomId]] = []
+
+    def index(where: str, atom_id: AtomId) -> int | None:
+        try:
+            return dag.index_of(atom_id)
+        except KeyError:
+            unresolved.append((where, atom_id))
+            return None
+
+    rounds: list[Round] = []
+    for t, combo in enumerate(sections["rounds"]):
+        atoms = [index(f"round {t}", AtomId(s, layer, i)) for s, layer, i in combo]
+        rounds.append(Round(t, tuple(a for a in atoms if a is not None)))
+    placement: dict[int, int] = {}
+    for sample, layer, tile, engine in sections["placement"]:
+        a = index("placement", AtomId(sample, layer, tile))
+        if a is not None:
+            placement[a] = engine
+    return Schedule(rounds=rounds), placement, unresolved
+
+
 def solution_record(solution: CandidateSolution) -> dict:
     """A completed candidate as a checkpoint-journal record.
 
@@ -1097,22 +1131,10 @@ def restore_solution(
         ]:
             return None
         dag = ctx.build_dag(tiling)
-        schedule = Schedule(
-            rounds=[
-                Round(
-                    index=t,
-                    atom_indices=tuple(
-                        dag.index_of(AtomId(sample, layer, index))
-                        for sample, layer, index in combo
-                    ),
-                )
-                for t, combo in enumerate(record["rounds"])
-            ]
-        )
-        placement = {
-            dag.index_of(AtomId(sample, layer, index)): int(engine)
-            for sample, layer, index, engine in record["placement"]
-        }
+        schedule, placement, unresolved = bind_identities(dag, record)
+        if unresolved:
+            return None
+        placement = {a: int(engine) for a, engine in placement.items()}
         schedule.validate(dag, ctx.num_engines)
         result = RunResult.from_dict(record["result"])
         trace = replace(CandidateTrace.from_dict(record["trace"]), restored=True)

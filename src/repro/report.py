@@ -148,74 +148,6 @@ def round_composition(dag: AtomicDAG, schedule: Schedule, index: int) -> str:
     return f"Round {index} [{len(rnd)} engines]: " + ", ".join(parts)
 
 
-def export_chrome_trace(
-    dag: AtomicDAG,
-    schedule: Schedule,
-    placement: dict[int, int],
-    traces: list,
-    path: str,
-    frequency_hz: float = 500e6,
-) -> None:
-    """Write a Chrome trace-event JSON (open in ``chrome://tracing``).
-
-    One timeline lane per engine with a complete-event per atom, plus a
-    "NoC/DRAM blocking" lane showing the serialization gaps between
-    Rounds.  Durations use microseconds derived from the clock.
-
-    Args:
-        dag: The atomic DAG.
-        schedule: The Round schedule.
-        placement: Atom -> engine mapping.
-        traces: Per-Round timing from
-            :meth:`repro.sim.SystemSimulator.run_traced`.
-        path: Output JSON path.
-        frequency_hz: Clock for cycle -> time conversion.
-    """
-    import json
-
-    def us(cycles: int) -> float:
-        return cycles / frequency_hz * 1e6
-
-    events = []
-    t_cursor = 0
-    for rnd, trace in zip(schedule.rounds, traces):
-        blocking = trace.blocking_noc_cycles + trace.blocking_dram_cycles
-        if blocking:
-            events.append(
-                {
-                    "name": "blocking I/O",
-                    "ph": "X",
-                    "pid": 0,
-                    "tid": "noc+dram",
-                    "ts": us(t_cursor),
-                    "dur": us(blocking),
-                    "args": {"round": rnd.index},
-                }
-            )
-        compute_start = t_cursor + blocking
-        for a in rnd.atom_indices:
-            atom = dag.atoms[a]
-            events.append(
-                {
-                    "name": str(atom.atom_id),
-                    "cat": dag.graph.node(atom.layer).name,
-                    "ph": "X",
-                    "pid": 0,
-                    "tid": f"engine {placement[a]}",
-                    "ts": us(compute_start),
-                    "dur": us(dag.costs[a].cycles),
-                    "args": {
-                        "round": rnd.index,
-                        "layer": dag.graph.node(atom.layer).name,
-                        "bound_by": trace.bound_by,
-                    },
-                }
-            )
-        t_cursor += trace.round_cycles
-    with open(path, "w") as f:
-        json.dump({"traceEvents": events}, f)
-
-
 def comparison_table(results: list[RunResult]) -> str:
     """Format a strategy comparison like the examples and benchmarks print.
 

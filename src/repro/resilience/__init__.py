@@ -15,8 +15,8 @@ pipeline of :mod:`repro.pipeline` end to end:
   finished candidates;
 * :mod:`repro.resilience.faults` — a deterministic fault-injection
   harness (kill-worker, stall-candidate, raise-in-stage, corrupt-result,
-  keyed by candidate index and attempt) used by tests and the chaos leg
-  of ``repro check --self-check`` to prove that a search surviving
+  keyed by candidate index and attempt) used by the chaos tests
+  (``tests/resilience/test_chaos.py``) to prove that a search surviving
   injected faults selects a solution bit-identical to the fault-free run.
 
 Everything here is mechanism; policy (how many retries, which timeout)

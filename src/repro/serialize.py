@@ -14,7 +14,7 @@ import json
 from dataclasses import dataclass
 from pathlib import Path
 
-from repro.atoms.atom import AtomId, TileSize
+from repro.atoms.atom import TileSize
 from repro.atoms.dag import AtomicDAG, build_atomic_dag
 from repro.config import ArchConfig
 from repro.engine.cost_model import EngineCostModel
@@ -39,8 +39,8 @@ from repro.fingerprint import (  # noqa: F401  (re-exports)
 from repro.framework import OptimizationOutcome
 from repro.ir.graph import Graph
 from repro.ir.transforms import fuse_elementwise
-from repro.pipeline import CandidateTrace, identity_sections
-from repro.scheduling.rounds import Round, Schedule
+from repro.pipeline import CandidateTrace, bind_identities, identity_sections
+from repro.scheduling.rounds import Schedule
 
 #: Format identifier embedded in every solution document.
 FORMAT = "atomic-dataflow-solution"
@@ -197,22 +197,10 @@ def load_solution(
     )
     dag = build_atomic_dag(fused, tiling, cost_model, batch=doc["batch"])
 
-    schedule = Schedule(
-        rounds=[
-            Round(
-                index=t,
-                atom_indices=tuple(
-                    dag.index_of(AtomId(sample, layer, index))
-                    for sample, layer, index in combo
-                ),
-            )
-            for t, combo in enumerate(doc["rounds"])
-        ]
-    )
-    placement = {
-        dag.index_of(AtomId(sample, layer, index)): engine
-        for sample, layer, index, engine in doc["placement"]
-    }
+    schedule, placement, unresolved = bind_identities(dag, doc)
+    if unresolved:
+        where, atom_id = unresolved[0]
+        raise ValueError(f"{where}: unknown atom identity {atom_id!r}")
     schedule.validate(dag, arch.num_engines)
     search = doc.get("search", {})
     return SolutionDocument(

@@ -3,11 +3,7 @@
 from __future__ import annotations
 
 from repro.sim.events import Event, EventQueue, Resource
-from repro.sim.simulator import (
-    RoundTrace,
-    SystemSimulator,
-    WEIGHT_RESIDENCY_FRACTION,
-)
+from repro.sim.simulator import SystemSimulator, WEIGHT_RESIDENCY_FRACTION
 from repro.sim.timeline import (
     EngineAccounting,
     EngineInterval,
@@ -21,7 +17,6 @@ __all__ = [
     "Event",
     "EventQueue",
     "Resource",
-    "RoundTrace",
     "SystemSimulator",
     "WEIGHT_RESIDENCY_FRACTION",
     "EngineAccounting",

@@ -50,45 +50,6 @@ from repro.sim.timeline import (
 WEIGHT_RESIDENCY_FRACTION = 2
 
 
-@dataclass(frozen=True)
-class RoundTrace:
-    """Timing breakdown of one executed Round (for profiling reports).
-
-    Attributes:
-        index: Round number.
-        num_atoms: Atoms executed.
-        compute_cycles: Slowest atom's compute.
-        blocking_noc_cycles: NoC time serialized before compute.
-        blocking_dram_cycles: DRAM time serialized before compute.
-        prefetch_noc_cycles: NoC time overlapped with compute.
-        prefetch_dram_cycles: DRAM time overlapped with compute.
-        round_cycles: Total wall time of the Round.
-    """
-
-    index: int
-    num_atoms: int
-    compute_cycles: int
-    blocking_noc_cycles: int
-    blocking_dram_cycles: int
-    prefetch_noc_cycles: int
-    prefetch_dram_cycles: int
-    round_cycles: int
-
-    @property
-    def bound_by(self) -> str:
-        """What limited this Round: "compute", "noc", or "dram"."""
-        overlapped = max(
-            self.compute_cycles,
-            self.prefetch_noc_cycles,
-            self.prefetch_dram_cycles,
-        )
-        if overlapped == self.compute_cycles:
-            return "compute"
-        if overlapped == self.prefetch_noc_cycles:
-            return "noc"
-        return "dram"
-
-
 _NO_MOVES = np.zeros(0, dtype=np.int64)
 
 
@@ -234,18 +195,8 @@ class SystemSimulator:
                 the DAG (validated up front).
         """
         with self._run_span():
-            result, _, _ = self._run(schedule, placement, collect_trace=False)
+            result, _ = self._run(schedule, placement)
         return result
-
-    def run_traced(
-        self, schedule: Schedule, placement: dict[int, int]
-    ) -> tuple[RunResult, list[RoundTrace]]:
-        """Like :meth:`run`, also returning the per-Round timing trace."""
-        with self._run_span():
-            result, traces, _ = self._run(
-                schedule, placement, collect_trace=True
-            )
-        return result, traces
 
     def _run_span(self):
         """A ``sim.run`` tracer span labelling one whole simulation."""
@@ -267,8 +218,8 @@ class SystemSimulator:
         bit-identical to what :meth:`run` returns.
         """
         with self._run_span():
-            result, _, timeline = self._run(
-                schedule, placement, collect_trace=False, collect_timeline=True
+            result, timeline = self._run(
+                schedule, placement, collect_timeline=True
             )
         assert timeline is not None
         return result, timeline
@@ -277,9 +228,8 @@ class SystemSimulator:
         self,
         schedule: Schedule,
         placement: dict[int, int],
-        collect_trace: bool,
         collect_timeline: bool = False,
-    ) -> tuple[RunResult, list[RoundTrace], SimTimeline | None]:
+    ) -> tuple[RunResult, SimTimeline | None]:
         schedule.validate(self.dag, self.arch.num_engines)
         for rnd in schedule.rounds:
             for a in rnd.atom_indices:
@@ -323,7 +273,6 @@ class SystemSimulator:
         total_macs_pe = 0
         onchip_bytes_total = 0
         offchip_bytes_total = 0
-        traces: list[RoundTrace] = []
         tl_rounds: list[RoundWindow] = []
         tl_intervals: list[EngineInterval] = []
         tl_links: list[LinkSample] = []
@@ -383,19 +332,6 @@ class SystemSimulator:
                     + blocking_dram
                     + max(compute, prefetch_noc_cycles, prefetch_dram)
                 )
-                if collect_trace:
-                    traces.append(
-                        RoundTrace(
-                            index=rnd.index,
-                            num_atoms=len(rnd.atom_indices),
-                            compute_cycles=compute,
-                            blocking_noc_cycles=blocking_noc_cycles,
-                            blocking_dram_cycles=blocking_dram,
-                            prefetch_noc_cycles=prefetch_noc_cycles,
-                            prefetch_dram_cycles=prefetch_dram,
-                            round_cycles=round_time,
-                        )
-                    )
                 if collect_timeline:
                     self._collect_round_timeline(
                         rnd, placement, table, io, total_cycles, compute,
@@ -470,7 +406,7 @@ class SystemSimulator:
                 links=tuple(tl_links),
                 hbm=tuple(tl_hbm),
             )
-        return result, traces, timeline
+        return result, timeline
 
     def _collect_round_timeline(
         self,

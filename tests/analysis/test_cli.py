@@ -130,3 +130,41 @@ class TestReproCheckSubcommand:
         )
         assert rc == 1
         capsys.readouterr()
+
+
+class TestReproCheckArguments:
+    """`repro check` hands its arguments to `python -m repro.analysis`."""
+
+    def test_accepts_exactly_the_analysis_options(self, monkeypatch):
+        from repro.analysis.__main__ import build_parser
+
+        options = sorted(
+            opt for action in build_parser()._actions
+            for opt in action.option_strings
+        )
+        seen = []
+        monkeypatch.setattr(
+            "repro.analysis.__main__.main",
+            lambda argv, prog: seen.append(argv) or 0,
+        )
+        argv = ["src/repro", *options, "--mesh=2x2"]
+        assert repro_main(["check", *argv]) == 0
+        assert seen == [argv]
+
+    def test_unknown_option_is_a_usage_error(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            repro_main(["check", "--no-such-option"])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("usage: repro check ")
+        assert "--no-such-option" in err
+
+    def test_verbosity_before_the_subcommand(self, capsys):
+        assert repro_main(["-v", "check", "--list-rules"]) == 0
+        assert "AD101" in capsys.readouterr().out
+
+    def test_other_commands_still_reject_unknown_options(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            repro_main(["models", "--no-such-option"])
+        assert exc.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err

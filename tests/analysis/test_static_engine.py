@@ -6,14 +6,12 @@ import json
 
 from repro.analysis.__main__ import main as analysis_main
 from repro.analysis.static import (
-    STATIC_RULES,
     apply_baseline,
     load_baseline,
     load_paths,
     module_name_for,
     parse_suppressions,
     run_static_analysis,
-    run_static_self_check,
     save_baseline,
     summarize_all,
 )
@@ -255,14 +253,6 @@ class TestSuppressionFiltering:
         assert not result.report.ok
         [diag] = result.report.errors
         assert "does not suppress" in diag.message
-
-
-class TestSelfCheck:
-    def test_planted_hazards_all_detected(self):
-        ok, text = run_static_self_check()
-        assert ok, text
-        for rule_id in STATIC_RULES:
-            assert rule_id in text
 
 
 class TestMetrics:

@@ -242,6 +242,23 @@ class TestCheckpointResume:
         )
         assert_identical(resumed, baseline_vgg)
 
+    def test_faulted_run_leaves_clean_artifacts(self, arch, baseline_vgg, tmp_path):
+        """Faults at every candidate index: the outcome and the journal
+        the surviving search wrote pass Tier A (warnings allowed)."""
+        from repro.analysis import check_checkpoint_journal, validate_outcome
+
+        path = tmp_path / "ck.jsonl"
+        kinds = ("raise", "kill-worker", "corrupt-result")
+        outcome = run_search(
+            "vgg19_bench", arch, jobs=2, retries=2, checkpoint=str(path),
+            faults=FaultPlan(specs=tuple(
+                FaultSpec(index=i, kind=kind) for i, kind in enumerate(kinds)
+            )),
+        )
+        assert_identical(outcome, baseline_vgg)
+        assert validate_outcome(outcome, arch).ok
+        assert not check_checkpoint_journal(path).diagnostics
+
     def test_mismatched_search_refuses_to_resume(self, arch, tmp_path):
         path = str(tmp_path / "ck.jsonl")
         run_search("vgg19_bench", arch, jobs=1, checkpoint=path)
@@ -251,22 +268,37 @@ class TestCheckpointResume:
                 seed=12,
             )
 
-    def test_corrupt_record_is_reevaluated_not_trusted(
-        self, arch, baseline_vgg, tmp_path
-    ):
+    @staticmethod
+    def _resume_tampered(arch, baseline_vgg, tmp_path, tamper):
+        """Resume from a journal whose first record ``tamper`` edited: the
+        record must be re-evaluated, and the answer stay unchanged."""
         path = tmp_path / "ck.jsonl"
         run_search("vgg19_bench", arch, jobs=1, checkpoint=str(path))
         lines = path.read_text().splitlines()
         record = json.loads(lines[1])
-        record["tiling"] = {k: [1, 1, 1, 1] for k in record["tiling"]}
+        tamper(record)
         lines[1] = json.dumps(record, sort_keys=True)
         path.write_text("\n".join(lines) + "\n")
         resumed = run_search(
             "vgg19_bench", arch, jobs=1, checkpoint=str(path), resume=True
         )
-        # The tampered record fails fingerprint re-verification and its
-        # candidate is silently re-evaluated; the answer is unchanged.
         assert_identical(resumed, baseline_vgg)
-        tampered_label = record["label"]
-        trace = next(t for t in resumed.traces if t.label == tampered_label)
+        trace = next(t for t in resumed.traces if t.label == record["label"])
         assert not trace.restored
+
+    def test_corrupt_record_is_reevaluated_not_trusted(
+        self, arch, baseline_vgg, tmp_path
+    ):
+        # The tampered tiling fails fingerprint re-verification.
+        def tamper(record):
+            record["tiling"] = {k: [1, 1, 1, 1] for k in record["tiling"]}
+
+        self._resume_tampered(arch, baseline_vgg, tmp_path, tamper)
+
+    def test_record_naming_an_unknown_atom_is_reevaluated(
+        self, arch, baseline_vgg, tmp_path
+    ):
+        def tamper(record):
+            record["rounds"][0][0] = [0, 9999, 0]
+
+        self._resume_tampered(arch, baseline_vgg, tmp_path, tamper)

@@ -5,7 +5,7 @@ The simulator's inner loop is tuned for speed — transfers travel as
 weight holders come from the mesh's distance table — and none of that may
 move a single reported number.  Each case below pins sha256 digests of the
 :class:`~repro.metrics.RunResult` (float energies included), the
-``run_traced`` Round traces, and the ``run_timeline`` timeline; a change
+per-Round timing rows, and the ``run_timeline`` timeline; a change
 that alters any of them must re-record the digests deliberately.
 
 Cases cover the default 8x8 mesh, a 2x2 torus, an engine buffer only as
@@ -15,7 +15,6 @@ wormhole NoC model, each on two batch-2 zoo models.
 
 from __future__ import annotations
 
-import dataclasses
 import functools
 import hashlib
 import json
@@ -35,7 +34,7 @@ from repro.noc.traffic import NocModel
 from repro.pipeline import SearchContext, TransferCostMappingStage
 from repro.scheduling import schedule_greedy
 
-#: (model, case) -> (RunResult, RoundTraces, SimTimeline) digests.
+#: (model, case) -> (RunResult, per-Round timing rows, SimTimeline) digests.
 DIGESTS = {
     ("resnet50_bench", "mesh8x8"): (
         "89ec6d2162179419dbc9c4141a24fc83f6c49b3717605bfc7dd077c1aae3fca7",
@@ -114,12 +113,19 @@ def _case(model: str, case: str):
 def test_simulation_matches_pinned_digests(model, case):
     sim, schedule, placement = _case(model, case)
     result = sim.run(schedule, placement)
-    traced, traces = sim.run_traced(schedule, placement)
     timed, timeline = sim.run_timeline(schedule, placement)
-    assert traced == result and timed == result
+    assert timed == result
+    rows = [
+        [
+            rw.index, len(rnd.atom_indices), rw.compute_cycles,
+            rw.blocking_noc_cycles, rw.blocking_dram_cycles,
+            rw.prefetch_noc_cycles, rw.prefetch_dram_cycles, rw.round_cycles,
+        ]
+        for rw, rnd in zip(timeline.rounds, schedule.rounds)
+    ]
     assert (
         _digest(result.to_dict()),
-        _digest([dataclasses.astuple(t) for t in traces]),
+        _digest(rows),
         _digest(timeline.to_dict()),
     ) == DIGESTS[(model, case)]
 

@@ -134,37 +134,47 @@ class TestBatchRuns:
 
 
 class TestTracedRun:
+    """Per-Round timing comes from :meth:`SystemSimulator.run_timeline`."""
+
     def test_trace_covers_all_rounds(self, setup):
         arch, dag, schedule, placement = setup
-        result, traces = SystemSimulator(arch, dag).run_traced(
+        _, timeline = SystemSimulator(arch, dag).run_timeline(
             schedule, placement
         )
-        assert len(traces) == schedule.num_rounds
-        assert [t.index for t in traces] == [r.index for r in schedule.rounds]
+        assert len(timeline.rounds) == schedule.num_rounds
+        assert [rw.index for rw in timeline.rounds] == [
+            r.index for r in schedule.rounds
+        ]
 
     def test_trace_sums_to_total(self, setup):
         arch, dag, schedule, placement = setup
-        result, traces = SystemSimulator(arch, dag).run_traced(
+        result, timeline = SystemSimulator(arch, dag).run_timeline(
             schedule, placement
         )
-        assert sum(t.round_cycles for t in traces) == result.total_cycles
-        assert sum(t.compute_cycles for t in traces) == result.compute_cycles
+        rounds = timeline.rounds
+        assert sum(rw.round_cycles for rw in rounds) == result.total_cycles
+        assert sum(rw.compute_cycles for rw in rounds) == result.compute_cycles
         assert (
-            sum(t.blocking_noc_cycles for t in traces)
+            sum(rw.blocking_noc_cycles for rw in rounds)
             == result.noc_blocking_cycles
         )
 
     def test_traced_matches_untraced(self, setup):
         arch, dag, schedule, placement = setup
         plain = SystemSimulator(arch, dag).run(schedule, placement)
-        traced, _ = SystemSimulator(arch, dag).run_traced(schedule, placement)
+        traced, _ = SystemSimulator(arch, dag).run_timeline(
+            schedule, placement
+        )
         assert plain.total_cycles == traced.total_cycles
         assert plain.energy.total_pj == traced.energy.total_pj
 
     def test_bound_by_classification(self, setup):
         arch, dag, schedule, placement = setup
-        _, traces = SystemSimulator(arch, dag).run_traced(schedule, placement)
-        assert all(t.bound_by in ("compute", "noc", "dram") for t in traces)
+        _, timeline = SystemSimulator(arch, dag).run_timeline(
+            schedule, placement
+        )
+        rounds = timeline.rounds
+        assert all(rw.bound_by in ("compute", "noc", "dram") for rw in rounds)
         # A round's wall time is never below its binding component.
-        for t in traces:
-            assert t.round_cycles >= t.compute_cycles
+        for rw in rounds:
+            assert rw.round_cycles >= rw.compute_cycles

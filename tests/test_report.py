@@ -104,11 +104,11 @@ class TestTables:
 
 
 class TestChromeTrace:
-    def test_export_valid_json(self, scheduled, tmp_path):
-        import json
+    """Simulated time reaches Chrome traces through ``trace_to_chrome``."""
 
+    @pytest.fixture
+    def timeline(self, scheduled):
         from repro.config import ArchConfig, EngineConfig
-        from repro.report import export_chrome_trace
         from repro.sim import SystemSimulator
 
         dag, schedule, placement = scheduled
@@ -116,40 +116,42 @@ class TestChromeTrace:
             mesh_rows=2, mesh_cols=2,
             engine=EngineConfig(pe_rows=8, pe_cols=8, buffer_bytes=32 * 1024),
         )
-        result, traces = SystemSimulator(arch, dag).run_traced(
+        _, timeline = SystemSimulator(arch, dag).run_timeline(
             schedule, placement
         )
-        out = tmp_path / "trace.json"
-        export_chrome_trace(
-            dag, schedule, placement, traces, str(out),
-            frequency_hz=arch.engine.frequency_hz,
-        )
-        doc = json.loads(out.read_text())
-        events = doc["traceEvents"]
-        atoms = [e for e in events if e["tid"].startswith("engine")]
-        assert len(atoms) == dag.num_atoms
-        assert all(e["ph"] == "X" and e["dur"] >= 0 for e in events)
+        return timeline
 
-    def test_events_do_not_overlap_per_engine(self, scheduled, tmp_path):
+    def test_export_valid_json(self, scheduled, timeline, tmp_path):
+        import json
+
+        from repro.obs import trace_to_chrome
+        from repro.obs.export import SIM_PID
+
+        dag, _, _ = scheduled
+        out = tmp_path / "trace.json"
+        trace_to_chrome(out, timeline=timeline)
+        events = json.loads(out.read_text())["traceEvents"]
+        atoms = [
+            e for e in events
+            if e["ph"] == "X" and e["pid"] == SIM_PID
+            and e["tid"] < timeline.num_engines
+        ]
+        assert len(atoms) == dag.num_atoms
+        assert all(e["dur"] >= 0 for e in events if e["ph"] == "X")
+
+    def test_events_do_not_overlap_per_engine(self, timeline, tmp_path):
         import json
         from collections import defaultdict
 
-        from repro.config import ArchConfig, EngineConfig
-        from repro.report import export_chrome_trace
-        from repro.sim import SystemSimulator
+        from repro.obs import trace_to_chrome
 
-        dag, schedule, placement = scheduled
-        arch = ArchConfig(
-            mesh_rows=2, mesh_cols=2,
-            engine=EngineConfig(pe_rows=8, pe_cols=8, buffer_bytes=32 * 1024),
-        )
-        _, traces = SystemSimulator(arch, dag).run_traced(schedule, placement)
         out = tmp_path / "trace.json"
-        export_chrome_trace(dag, schedule, placement, traces, str(out))
+        trace_to_chrome(out, timeline=timeline)
         events = json.loads(out.read_text())["traceEvents"]
         lanes = defaultdict(list)
         for e in events:
-            lanes[e["tid"]].append((e["ts"], e["ts"] + e["dur"]))
+            if e["ph"] == "X":
+                lanes[(e["pid"], e["tid"])].append((e["ts"], e["ts"] + e["dur"]))
         for spans in lanes.values():
             spans.sort()
             for (s1, e1), (s2, _) in zip(spans, spans[1:]):

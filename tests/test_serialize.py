@@ -88,6 +88,43 @@ class TestRoundTrip:
             load_solution(path, graph, arch)
 
 
+class TestUnknownIdentities:
+    """One resolver binds identities; each loader keeps its own policy."""
+
+    @pytest.fixture
+    def broken(self, solution, tmp_path):
+        graph, arch, outcome = solution
+        doc = solution_to_dict(outcome, "kc")
+        doc["rounds"][0][0] = [0, 9999, 0]
+        doc["placement"][0][2] = 10**6
+        path = tmp_path / "broken.json"
+        path.write_text(json.dumps(doc))
+        return graph, arch, path
+
+    def test_load_solution_raises_value_error(self, broken):
+        graph, arch, path = broken
+        with pytest.raises(ValueError, match=r"^round 0: unknown atom identity"):
+            load_solution(path, graph, arch)
+
+    def test_out_of_range_tile_raises_value_error(self, solution, tmp_path):
+        graph, arch, outcome = solution
+        doc = solution_to_dict(outcome, "kc")
+        doc["placement"][0][2] = 10**6
+        path = tmp_path / "tile.json"
+        path.write_text(json.dumps(doc))
+        with pytest.raises(ValueError, match=r"^placement: unknown atom identity"):
+            load_solution(path, graph, arch)
+
+    def test_validator_reports_every_one(self, broken):
+        from repro.analysis import validate_solution_file
+
+        graph, arch, path = broken
+        report = validate_solution_file(path, graph, arch)
+        assert [d.location for d in report.by_rule("AD201")][:2] == [
+            "round 0", "placement",
+        ]
+
+
 class TestTraceRoundTrip:
     def test_trace_dict_round_trip(self, solution):
         _, _, outcome = solution
