@@ -18,6 +18,8 @@ traffic and continues), which is why they are warnings, not errors.
 
 from __future__ import annotations
 
+import numpy as np
+
 from repro.analysis.diagnostics import Report, Severity, register_rule
 from repro.atoms.dag import AtomicDAG
 from repro.buffering.policy import BufferPolicy, weight_entry_key
@@ -80,6 +82,7 @@ def check_buffering(
     policy = policy if policy is not None else BufferPolicy(dag, schedule)
     buffers = make_buffers(num_engines, capacity_bytes)
     weight_limit = capacity_bytes // WEIGHT_RESIDENCY_FRACTION
+    consumer_counts = np.diff(dag.succ_ptr).tolist()
 
     for rnd in schedule.rounds:
         t = rnd.index
@@ -90,7 +93,9 @@ def check_buffering(
             _replay_weight(
                 dag, a, buffers[engine], policy, t, weight_limit, report
             )
-            _replay_output(dag, a, buffers[engine], policy, t, report)
+            _replay_output(
+                dag, a, consumer_counts[a], buffers[engine], policy, t, report
+            )
     return report
 
 
@@ -138,20 +143,21 @@ def _replay_weight(
 def _replay_output(
     dag: AtomicDAG,
     a: int,
+    consumers: int,
     buffer: EngineBuffer,
     policy: BufferPolicy,
     t: int,
     report: Report,
 ) -> None:
     nbytes = dag.costs[a].ofmap_bytes
-    if nbytes == 0 or not dag.succs[a]:
+    if nbytes == 0 or not consumers:
         return
     if nbytes > buffer.capacity_bytes:
         report.emit(
             "AD403",
             f"atom {a}",
             f"output of {nbytes} B exceeds the {buffer.capacity_bytes} B "
-            f"engine buffer; its {len(dag.succs[a])} consumers must read "
+            f"engine buffer; its {consumers} consumers must read "
             "it back from DRAM",
         )
         return

@@ -2,35 +2,39 @@
 
 A malformed DAG poisons every later stage (scheduling, mapping, buffering,
 simulation), so these rules re-derive each structural invariant from the
-flat arrays instead of trusting the builder:
+CSR edge arrays and per-atom columns those stages read, instead of
+trusting the builder:
 
-* ``AD101`` — index alignment of the parallel flat arrays;
-* ``AD102`` — pred/succ adjacency mirrors exactly;
-* ``AD103`` — acyclicity (Kahn toposort over the pred arrays);
-* ``AD104`` — ``edge_bytes`` keys/coverage match the adjacency exactly;
+* ``AD101`` — every per-atom column has one row per atom and every CSR
+  side is well-formed;
+* ``AD102`` — edge ids in range, and the pred and succ sides hold the
+  same edges;
+* ``AD103`` — acyclicity (Kahn toposort over the pred side alone);
+* ``AD104`` — every edge carries the same positive payload on both sides;
 * ``AD105`` — batch sub-DAG isomorphism (every sample replicates sample 0);
 * ``AD106`` — each layer's tile grid covers its output exactly.
 """
 
 from __future__ import annotations
 
-from collections import deque
+import numpy as np
 
 from repro.analysis.diagnostics import Report, Severity, register_rule
-from repro.atoms.dag import AtomicDAG
+from repro.atoms.dag import AtomicDAG, csr_rows, row_owners, row_slots
 
 register_rule(
     "AD101",
     Severity.ERROR,
     "artifact",
-    "AtomicDAG flat arrays (atoms/preds/succs/costs/dram_input_bytes) "
-    "must be index-aligned (equal lengths)",
+    "AtomicDAG per-atom columns and costs must have one row per atom, and "
+    "each CSR side's ptr must be well-formed",
 )
 register_rule(
     "AD102",
     Severity.ERROR,
     "artifact",
-    "preds and succs must mirror each other exactly",
+    "edge ids must be atoms, and the pred and succ sides must hold the "
+    "same edges",
 )
 register_rule(
     "AD103",
@@ -42,8 +46,7 @@ register_rule(
     "AD104",
     Severity.ERROR,
     "artifact",
-    "edge_bytes keys must be exactly the DAG's edges (no phantom or "
-    "missing entries)",
+    "every edge must carry the same positive payload on both CSR sides",
 )
 register_rule(
     "AD105",
@@ -56,6 +59,16 @@ register_rule(
     Severity.ERROR,
     "artifact",
     "each layer's tile grid must cover its output shape exactly",
+)
+
+#: Per-atom columns besides ``atom_layer``, which sets the atom count.
+_COLUMNS = (
+    "atom_sample",
+    "atom_tile",
+    "atom_bounds",
+    "atom_weight_slice",
+    "atom_incoming_bytes",
+    "atom_dram_bytes",
 )
 
 
@@ -73,158 +86,236 @@ def check_dag(dag: AtomicDAG, report: Report | None = None) -> Report:
     report.mark_checked(f"AtomicDAG({dag.graph.name}, batch={dag.batch})")
     n = dag.num_atoms
 
-    aligned = _check_alignment(dag, report)
-    if not aligned:
+    if not _check_alignment(dag, report, n):
         # Follow-on rules index the arrays against each other; misalignment
         # would turn every one of them into an IndexError storm.
         return report
 
-    _check_mirroring(dag, report, n)
-    _check_acyclic(dag, report, n)
-    _check_edge_bytes(dag, report, n)
-    _check_batch_isomorphism(dag, report)
+    pred_owner = row_owners(dag.pred_ptr)
+    succ_owner = row_owners(dag.succ_ptr)
+    mirrored = False
+    if _check_ids(dag, report, n, pred_owner, succ_owner):
+        pred_keys, pred_bytes = _by_edge(
+            dag.pred_ids * n + pred_owner, dag.pred_bytes
+        )
+        succ_keys, succ_bytes = _by_edge(
+            succ_owner * n + dag.succ_ids, dag.succ_bytes
+        )
+        mirrored = _check_mirroring(report, n, pred_keys, succ_keys)
+    _check_acyclic(report, n, pred_owner, dag.pred_ids)
+    if mirrored:
+        # Payloads pair up edge by edge only once both sides hold the same
+        # edges; a mismatch there is AD102's finding, not AD104's.
+        _check_payloads(report, n, pred_keys, pred_bytes, succ_bytes)
+    _check_batch_isomorphism(dag, report, n)
     _check_coverage(dag, report)
     return report
 
 
-def _check_alignment(dag: AtomicDAG, report: Report) -> bool:
-    lengths = {
-        "atoms": len(dag.atoms),
-        "preds": len(dag.preds),
-        "succs": len(dag.succs),
-        "costs": len(dag.costs),
-        "dram_input_bytes": len(dag.dram_input_bytes),
-    }
-    if len(set(lengths.values())) != 1:
-        detail = ", ".join(f"{k}={v}" for k, v in lengths.items())
-        report.emit("AD101", "dag", f"flat arrays disagree on length: {detail}")
-        return False
-    return True
+def _check_alignment(dag: AtomicDAG, report: Report, n: int) -> bool:
+    ok = True
+    lengths = {"costs": len(dag.costs)}
+    lengths.update((name, len(getattr(dag, name))) for name in _COLUMNS)
+    bad = {name: rows for name, rows in lengths.items() if rows != n}
+    if bad:
+        detail = ", ".join(f"{k}={v}" for k, v in bad.items())
+        report.emit(
+            "AD101", "dag", f"columns disagree with {n} atoms: {detail}"
+        )
+        ok = False
+    if dag.atom_bounds.shape[1:] != (6,):
+        report.emit(
+            "AD101",
+            "dag",
+            f"atom_bounds has shape {dag.atom_bounds.shape}, not ({n}, 6)",
+        )
+        ok = False
+    for side in ("pred", "succ"):
+        ptr = getattr(dag, f"{side}_ptr")
+        edges = len(getattr(dag, f"{side}_ids"))
+        payloads = len(getattr(dag, f"{side}_bytes"))
+        problem = None
+        if len(ptr) != n + 1:
+            problem = f"{side}_ptr has {len(ptr)} entries for {n} atoms"
+        elif ptr[0] != 0 or np.any(np.diff(ptr) < 0):
+            problem = f"{side}_ptr must start at 0 and never decrease"
+        elif not ptr[-1] == edges == payloads:
+            problem = (
+                f"{side}_ptr ends at {int(ptr[-1])}, {side}_ids has "
+                f"{edges} entries and {side}_bytes {payloads}"
+            )
+        if problem is not None:
+            report.emit("AD101", f"{side} side", problem)
+            ok = False
+    return ok
 
 
-def _check_mirroring(dag: AtomicDAG, report: Report, n: int) -> None:
-    for i in range(n):
-        for p in dag.preds[i]:
-            if not 0 <= p < n:
-                report.emit(
-                    "AD102", f"atom {i}", f"pred {p} out of range [0, {n})"
-                )
-            elif i not in dag.succs[p]:
-                report.emit(
-                    "AD102",
-                    f"atom {i}",
-                    f"edge {p}->{i} in preds but {i} missing from succs[{p}]",
-                )
-        for s in dag.succs[i]:
-            if not 0 <= s < n:
-                report.emit(
-                    "AD102", f"atom {i}", f"succ {s} out of range [0, {n})"
-                )
-            elif i not in dag.preds[s]:
-                report.emit(
-                    "AD102",
-                    f"atom {i}",
-                    f"edge {i}->{s} in succs but {i} missing from preds[{s}]",
-                )
+def _check_ids(
+    dag: AtomicDAG,
+    report: Report,
+    n: int,
+    pred_owner: np.ndarray,
+    succ_owner: np.ndarray,
+) -> bool:
+    ok = True
+    for side, owner in (("pred", pred_owner), ("succ", succ_owner)):
+        ids = getattr(dag, f"{side}_ids")
+        bad = np.flatnonzero((ids < 0) | (ids >= n))
+        for atom, other in zip(owner[bad].tolist(), ids[bad].tolist()):
+            report.emit(
+                "AD102", f"atom {atom}", f"{side} {other} out of range [0, {n})"
+            )
+        ok = ok and not len(bad)
+    return ok
 
 
-def _check_acyclic(dag: AtomicDAG, report: Report, n: int) -> None:
-    """Kahn's algorithm over the pred arrays; leftovers sit on a cycle."""
-    indegree = [
-        sum(1 for p in ps if 0 <= p < n) for ps in dag.preds
-    ]
-    queue = deque(i for i in range(n) if indegree[i] == 0)
+def _by_edge(
+    keys: np.ndarray, nbytes: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """One side's edge keys ascending, with their payloads alongside.
+
+    A key is ``producer * num_atoms + consumer``; equal keys order by
+    payload, so two sides with the same (edge, payload) pairs come out
+    identical.
+    """
+    order = np.lexsort((nbytes, keys))
+    return keys[order], nbytes[order]
+
+
+def _check_mirroring(
+    report: Report, n: int, pred_keys: np.ndarray, succ_keys: np.ndarray
+) -> bool:
+    """The sides' sorted edge keys agree; offenders named only if not."""
+    if np.array_equal(pred_keys, succ_keys):
+        return True
+    only_pred = np.setdiff1d(pred_keys, succ_keys)
+    only_succ = np.setdiff1d(succ_keys, pred_keys)
+    for key in only_pred.tolist():
+        p, c = divmod(key, n)
+        report.emit(
+            "AD102",
+            f"atom {c}",
+            f"edge {p}->{c} is on the pred side but not the succ side",
+        )
+    for key in only_succ.tolist():
+        p, c = divmod(key, n)
+        report.emit(
+            "AD102",
+            f"atom {p}",
+            f"edge {p}->{c} is on the succ side but not the pred side",
+        )
+    if not len(only_pred) and not len(only_succ):
+        report.emit(
+            "AD102",
+            "dag",
+            f"the sides repeat edges unequally ({len(pred_keys)} pred "
+            f"entries, {len(succ_keys)} succ entries)",
+        )
+    return False
+
+
+def _check_acyclic(
+    report: Report, n: int, consumers: np.ndarray, producers: np.ndarray
+) -> None:
+    """Kahn's algorithm over the pred side; leftovers sit on a cycle.
+
+    The successor rows are derived from the pred arrays, so a corrupted
+    succ side can neither hide a cycle nor invent one.  Out-of-range ids
+    are AD102's finding and are left out here.
+    """
+    keep = (producers >= 0) & (producers < n)
+    consumers, producers = consumers[keep], producers[keep]
+    indegree = np.bincount(consumers, minlength=n)
+    succ_ptr, succ_ids, _ = csr_rows(producers, consumers, consumers, n)
+    frontier = np.flatnonzero(indegree == 0)
     visited = 0
-    while queue:
-        i = queue.popleft()
-        visited += 1
-        for s in dag.succs[i]:
-            if 0 <= s < n and i in dag.preds[s]:
-                indegree[s] -= 1
-                if indegree[s] == 0:
-                    queue.append(s)
+    while len(frontier):
+        visited += len(frontier)
+        slots, _ = row_slots(succ_ptr, frontier)
+        targets, hits = np.unique(succ_ids[slots], return_counts=True)
+        indegree[targets] -= hits
+        frontier = targets[indegree[targets] == 0]
     if visited != n:
-        stuck = [i for i in range(n) if indegree[i] > 0]
+        stuck = np.flatnonzero(indegree > 0)[:5].tolist()
         report.emit(
             "AD103",
             "dag",
             f"dependency cycle: {n - visited} atoms unreachable by "
-            f"topological order (e.g. atoms {stuck[:5]})",
+            f"topological order (e.g. atoms {stuck})",
         )
 
 
-def _check_edge_bytes(dag: AtomicDAG, report: Report, n: int) -> None:
-    edges = {
-        (p, i) for i in range(n) for p in dag.preds[i] if 0 <= p < n
-    }
-    for key in dag.edge_bytes:
-        if key not in edges:
-            report.emit(
-                "AD104",
-                f"edge {key[0]}->{key[1]}",
-                "edge_bytes entry for a pair that is not a DAG edge",
-            )
-    for edge in sorted(edges):
-        if edge not in dag.edge_bytes:
-            report.emit(
-                "AD104",
-                f"edge {edge[0]}->{edge[1]}",
-                "DAG edge has no edge_bytes entry",
-            )
+def _check_payloads(
+    report: Report,
+    n: int,
+    keys: np.ndarray,
+    pred_bytes: np.ndarray,
+    succ_bytes: np.ndarray,
+) -> None:
+    """Both sides' payloads, paired by sorted edge key, equal and positive."""
+    bad = np.flatnonzero((pred_bytes != succ_bytes) | (pred_bytes <= 0))
+    for key, nbytes, mirrored in zip(
+        keys[bad].tolist(), pred_bytes[bad].tolist(), succ_bytes[bad].tolist()
+    ):
+        p, c = divmod(key, n)
+        report.emit(
+            "AD104",
+            f"edge {p}->{c}",
+            f"carries {nbytes} B on the pred side and {mirrored} B on the "
+            "succ side (payloads must be equal and positive)",
+        )
 
 
-def _sub_dag_signature(
-    dag: AtomicDAG, sample: int
-) -> tuple | None:
-    """Canonical form of one sample's sub-DAG, in stable-atom-id terms.
+def _check_batch_isomorphism(
+    dag: AtomicDAG, report: Report, n: int
+) -> None:
+    """Sample ``s``'s block repeats sample 0's, every id shifted.
 
-    Atoms are keyed ``(layer, tile_index)`` and edges carry their payload
-    bytes, so two samples compare equal iff their sub-DAGs are isomorphic
-    under the identity mapping on (layer, tile) — which is exactly the
-    batch-replication contract of :func:`~repro.atoms.dag.build_atomic_dag`.
-    Returns None when a cross-sample edge makes the signature undefined.
+    Atoms are laid out sample-major in equal blocks of ``n / batch``, so
+    sample ``s`` must repeat sample 0's columns and costs, and its pred
+    rows must repeat sample 0's with ids shifted by ``s * per_sample`` and
+    equal bytes — the batch-replication contract of
+    :func:`~repro.atoms.dag.build_atomic_dag`.  A cross-sample edge
+    breaks the shift.
     """
-    nodes = []
-    edges = []
-    for i, atom in enumerate(dag.atoms):
-        if atom.sample != sample:
-            continue
-        nodes.append((atom.layer, atom.atom_id.index, dag.costs[i].cycles))
-        for p in dag.preds[i]:
-            pa = dag.atoms[p]
-            if pa.sample != sample:
-                return None
-            edges.append(
-                (
-                    (pa.layer, pa.atom_id.index),
-                    (atom.layer, atom.atom_id.index),
-                    dag.edge_bytes.get((p, i)),
-                )
-            )
-    return (tuple(sorted(nodes)), tuple(sorted(edges)))
-
-
-def _check_batch_isomorphism(dag: AtomicDAG, report: Report) -> None:
-    if dag.batch <= 1:
+    batch = dag.batch
+    if batch <= 1:
         return
-    reference = _sub_dag_signature(dag, 0)
-    if reference is None:
-        report.emit("AD105", "sample 0", "sample 0 has a cross-sample edge")
+    per, rest = divmod(n, batch)
+    if rest:
+        report.emit(
+            "AD105", "dag", f"{n} atoms do not split into {batch} samples"
+        )
         return
-    for sample in range(1, dag.batch):
-        sig = _sub_dag_signature(dag, sample)
-        if sig is None:
-            report.emit(
-                "AD105", f"sample {sample}", "sub-DAG has a cross-sample edge"
+    ptr, ids, nbytes = dag.pred_ptr, dag.pred_ids, dag.pred_bytes
+    columns = [getattr(dag, name) for name in _COLUMNS if name != "atom_sample"]
+    columns += [dag.atom_layer, np.asarray(dag.costs.cycles, dtype=np.int64)]
+    edges = int(ptr[per])
+    row_lengths = np.diff(ptr[: per + 1])
+    for sample in range(batch):
+        lo = sample * per
+        first, last = int(ptr[lo]), int(ptr[lo + per])
+        block_ids = ids[first:last]
+        problem = None
+        if np.any((block_ids < lo) | (block_ids >= lo + per)):
+            problem = "sub-DAG has a cross-sample edge"
+        elif np.any(dag.atom_sample[lo : lo + per] != sample):
+            problem = f"its atoms are not all of sample {sample}"
+        elif sample and not (
+            all(
+                np.array_equal(col[lo : lo + per], col[:per])
+                for col in columns
             )
-        elif sig != reference:
-            report.emit(
-                "AD105",
-                f"sample {sample}",
+            and np.array_equal(np.diff(ptr[lo : lo + per + 1]), row_lengths)
+            and np.array_equal(block_ids - lo, ids[:edges])
+            and np.array_equal(nbytes[first:last], nbytes[:edges])
+        ):
+            problem = (
                 "sub-DAG is not isomorphic to sample 0's "
-                f"({len(sig[0])} atoms/{len(sig[1])} edges vs "
-                f"{len(reference[0])}/{len(reference[1])})",
+                f"({last - first} edges vs {edges})"
             )
+        if problem is not None:
+            report.emit("AD105", f"sample {sample}", problem)
 
 
 def _check_coverage(dag: AtomicDAG, report: Report) -> None:

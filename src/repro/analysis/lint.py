@@ -8,15 +8,14 @@ These are repo-specific hazards generic linters do not know about:
   inside functions whose name mentions ``close``/``approx``/``tol`` (the
   tolerance helpers themselves) are exempt.
 * ``LINT002`` — mutation of :class:`~repro.atoms.dag.AtomicDAG` flat
-  arrays outside ``repro.atoms``: the object views (``atoms``/``preds``/
-  ``succs``/``costs``/``dram_input_bytes``/``edge_bytes``), the CSR edge
-  arrays (``pred_ptr``/``pred_ids``/``pred_bytes`` and the ``succ_``
-  side) and the per-atom columns (``atom_sample``/``atom_layer``/
-  ``atom_tile``/``atom_bounds``/``atom_weight_slice``/
-  ``atom_incoming_bytes``/``atom_dram_bytes``).  The arrays are
-  index-aligned; out-of-band mutation desynchronizes them, which is
-  exactly what the AD101/AD102/AD104 validators exist to catch after the
-  fact.
+  arrays outside ``repro.atoms``: the CSR edge arrays (``pred_ptr``/
+  ``pred_ids``/``pred_bytes`` and the ``succ_`` side), the per-atom
+  columns (``atom_sample``/``atom_layer``/``atom_tile``/``atom_bounds``/
+  ``atom_weight_slice``/``atom_incoming_bytes``/``atom_dram_bytes``),
+  ``costs`` and the ``atoms`` view.  The arrays are index-aligned and the
+  two CSR sides hold the same edges; out-of-band mutation desynchronizes
+  them, which is exactly what the AD101/AD102/AD104 validators exist to
+  catch after the fact.
 * ``LINT003`` — every ``repro`` module must start with ``from __future__
   import annotations`` (uniform lazy annotation semantics across the
   package; docstring-only modules are exempt).
@@ -79,10 +78,10 @@ register_rule(
 )
 
 #: AtomicDAG's index-aligned flat attributes guarded by LINT002: the
-#: object views, the CSR edge arrays, and the per-atom columns.
+#: CSR edge arrays, the per-atom columns, the costs and the atoms view.
 DAG_FLAT_ATTRS = frozenset(
     {
-        "atoms", "preds", "succs", "costs", "dram_input_bytes", "edge_bytes",
+        "atoms", "costs",
         "pred_ptr", "pred_ids", "pred_bytes",
         "succ_ptr", "succ_ids", "succ_bytes",
         "atom_sample", "atom_layer", "atom_tile", "atom_bounds",
@@ -250,7 +249,7 @@ def _is_float_literal(node: ast.expr) -> bool:
 
 
 def _is_dag_flat_attribute(node: ast.expr) -> bool:
-    """`<anything>.preds`-shaped access to a guarded flat attribute.
+    """`<anything>.pred_ids`-shaped access to a guarded flat attribute.
 
     Attribute *names* alone identify the arrays; the rule intentionally
     over-approximates receiver types (static Python has no cheap way to

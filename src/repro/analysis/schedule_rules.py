@@ -128,8 +128,10 @@ def check_schedule(
             f"{len(missing)} atoms never scheduled (e.g. {missing[:5]})",
         )
 
+    ptr = dag.pred_ptr.tolist()
+    preds = dag.pred_ids.tolist()
     for a, t in seen.items():
-        for p in dag.preds[a]:
+        for p in preds[ptr[a] : ptr[a + 1]]:
             tp = seen.get(p)
             if tp is None:
                 continue  # already reported by AD201

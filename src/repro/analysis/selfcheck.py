@@ -6,6 +6,10 @@ rule's violation into a corrupted copy of the shared :class:`Artifacts`
 (or, for the lint rules, into a one-rule module) and returns the report
 of the checker that guards it, which must fire exactly ``{rule}``.
 
+The AD101-AD105 rows seed :data:`DAG_CORRUPTIONS` onto the winner's
+CSR arrays; the property tests seed the same corruptions onto generated
+DAGs.
+
 The artifacts are built once per process (:func:`shared_artifacts`): a
 ``vgg19_bench`` search on a 4x4 mesh with its checkpoint journal and
 simulator timeline, a 3-rung tempering journal, a store directory
@@ -30,6 +34,8 @@ from dataclasses import dataclass, replace
 from pathlib import Path
 from types import SimpleNamespace
 from typing import Callable, NamedTuple
+
+import numpy as np
 
 import repro
 from repro.analysis.artifacts import validate_artifacts, validate_outcome
@@ -56,7 +62,7 @@ from repro.analysis.tempering_rules import (
 )
 from repro.analysis.timeline_rules import check_timeline
 from repro.analysis.trace_rules import check_search_trace
-from repro.atoms.dag import AtomicDAG
+from repro.atoms.dag import AtomicDAG, csr_rows, row_owners
 from repro.atoms.generation import SAParams
 from repro.buffering.policy import BufferPolicy, Eviction
 from repro.config import ArchConfig
@@ -255,16 +261,70 @@ def _validate(a: Artifacts, schedule=None, placement=None, **kw) -> Report:
     )
 
 
-def _cycle(a: Artifacts) -> Report:
-    """Add the reverse of one edge, consistently on every view."""
-    dag = a.dag
-    consumer = next(i for i, ps in enumerate(dag.preds) if ps)
-    producer = dag.preds[consumer][0]
-    return check_dag(dag.with_views(
-        preds=_patched(dag.preds, producer, dag.preds[producer] + (consumer,)),
-        succs=_patched(dag.succs, consumer, dag.succs[consumer] + (producer,)),
-        edge_bytes={**dag.edge_bytes, (consumer, producer): 1},
-    ))
+def with_edges(
+    dag: AtomicDAG,
+    producers: np.ndarray,
+    consumers: np.ndarray,
+    nbytes: np.ndarray,
+) -> AtomicDAG:
+    """A copy of ``dag`` whose two CSR sides hold exactly these edges."""
+    n = dag.num_atoms
+    pred_ptr, pred_ids, pred_bytes = csr_rows(consumers, producers, nbytes, n)
+    succ_ptr, succ_ids, succ_bytes = csr_rows(producers, consumers, nbytes, n)
+    return replace(
+        dag, pred_ptr=pred_ptr, pred_ids=pred_ids, pred_bytes=pred_bytes,
+        succ_ptr=succ_ptr, succ_ids=succ_ids, succ_bytes=succ_bytes,
+    )
+
+
+def _longer_pred_ptr(dag: AtomicDAG) -> AtomicDAG:
+    return replace(dag, pred_ptr=np.append(dag.pred_ptr, dag.pred_ptr[-1]))
+
+
+def _succ_only_edge(dag: AtomicDAG) -> AtomicDAG:
+    """The succ side gains an edge from the first atom to the last."""
+    n = dag.num_atoms
+    succ_ptr, succ_ids, succ_bytes = csr_rows(
+        np.append(row_owners(dag.succ_ptr), 0),
+        np.append(dag.succ_ids, n - 1),
+        np.append(dag.succ_bytes, 1),
+        n,
+    )
+    return replace(
+        dag, succ_ptr=succ_ptr, succ_ids=succ_ids, succ_bytes=succ_bytes
+    )
+
+
+def _reversed_edge(dag: AtomicDAG) -> AtomicDAG:
+    """Sample 0's first edge gains its reverse, in every sample alike."""
+    consumers = row_owners(dag.pred_ptr)
+    producer, consumer = int(dag.pred_ids[0]), int(consumers[0])
+    shift = np.arange(dag.batch, dtype=np.int64) * (dag.num_atoms // dag.batch)
+    return with_edges(
+        dag,
+        np.append(dag.pred_ids, consumer + shift),
+        np.append(consumers, producer + shift),
+        np.append(dag.pred_bytes, np.ones(dag.batch, dtype=np.int64)),
+    )
+
+
+def _unequal_payload(dag: AtomicDAG) -> AtomicDAG:
+    succ_bytes = dag.succ_bytes.copy()
+    succ_bytes[0] += 1
+    return replace(dag, succ_bytes=succ_bytes)
+
+
+#: DAG rule -> a corruption of any clean DAG with an edge that fires
+#: exactly that rule.  The arrays are the only edge representation, so
+#: every corruption lands on them.
+DAG_CORRUPTIONS: dict[str, tuple[str, Callable[[AtomicDAG], AtomicDAG]]] = {
+    "AD101": ("pred_ptr one entry longer than the atoms", _longer_pred_ptr),
+    "AD102": ("succ edge without its pred", _succ_only_edge),
+    "AD103": ("reversed edge closes a cycle", _reversed_edge),
+    "AD104": ("succ side carries a different payload", _unequal_payload),
+    "AD105": ("batch claims one more sample than it replicates",
+              lambda dag: replace(dag, batch=dag.batch + 1)),
+}
 
 
 def _uncovered(a: Artifacts) -> Report:
@@ -359,7 +419,7 @@ _LINT_SNIPPETS = {
     "LINT001": ("float literal equality",
                 _FUTURE + "def check(cost):\n    return cost == 1.5\n"),
     "LINT002": ("DAG flat array assignment",
-                _FUTURE + "def wipe(dag):\n    dag.preds[0] = ()\n"),
+                _FUTURE + "def wipe(dag):\n    dag.pred_ids[0] = 0\n"),
     "LINT003": ("module without the future import", "x = 1\n"),
     "LINT004": ("bare except", _FUTURE + (
         "def guard(step):\n    try:\n        step()\n"
@@ -465,19 +525,10 @@ class Case(NamedTuple):
 
 #: One row per registered rule, sorted by rule id.
 CASES: tuple[Case, ...] = (
-    Case("AD101", "preds view one entry longer than the atoms",
-         lambda a: check_dag(a.dag.with_views(preds=[*a.dag.preds, ()]))),
-    Case("AD102", "succ edge without its pred", lambda a: check_dag(
-        a.dag.with_views(succs=_patched(
-            a.dag.succs, 0, a.dag.succs[0] + (a.dag.num_atoms - 1,)
-        )))),
-    Case("AD103", "reversed edge closes a cycle", _cycle),
-    Case("AD104", "phantom edge_bytes entry", lambda a: check_dag(
-        a.dag.with_views(
-            edge_bytes={**a.dag.edge_bytes, (a.dag.num_atoms - 1, 0): 1}
-        ))),
-    Case("AD105", "batch of 2 that never replicated sample 1",
-         lambda a: check_dag(replace(a.dag, batch=2))),
+    *(
+        Case(rule, label, lambda a, corrupt=corrupt: check_dag(corrupt(a.dag)))
+        for rule, (label, corrupt) in DAG_CORRUPTIONS.items()
+    ),
     Case("AD106", "tile grid missing its last tile", _uncovered),
     Case("AD201", "schedule without its last Round", lambda a: _validate(
         a, Schedule(rounds=a.schedule.rounds[:-1]))),

@@ -21,17 +21,14 @@ halo spans.  The result stays in arrays end to end:
 * per-atom costs in the structure-of-arrays
   :class:`~repro.atoms.table.AtomCostTable`.
 
-The scheduler, mapper, buffer policy and simulator read those arrays.
-The object views (``atoms``, ``preds``, ``succs``, ``edge_bytes``,
-``dram_input_bytes``) are derived lazily, each from the arrays on its
-own, for the validators, serializer, report and executors; a view may be
-reassigned or corrupted in place without touching the arrays or the
-other views.
+The scheduler, mapper, buffer policy, simulator and validators read
+those arrays, and the CSR sides are the only copy of the edges.  The one
+object view, ``atoms``, is derived lazily from the id and bounds columns
+for the serializer, report and executors.
 """
 
 from __future__ import annotations
 
-import copy
 from dataclasses import dataclass, field
 from functools import cached_property
 
@@ -53,7 +50,9 @@ class AtomicDAG:
     Build with :func:`build_atomic_dag`.  Every array is int64 and
     index-aligned: position ``i`` of a per-atom column describes atom
     ``i``, and atom ``i``'s edges are ``[ptr[i], ptr[i + 1])`` of a CSR
-    side.
+    side.  The two sides hold the same edges with the same payloads; the
+    AD1xx rules of :mod:`repro.analysis.dag_rules` check that and the
+    rest of the structure from these arrays alone.
 
     Attributes:
         graph: The layer graph the DAG was derived from.
@@ -97,13 +96,15 @@ class AtomicDAG:
     atom_incoming_bytes: np.ndarray
     atom_dram_bytes: np.ndarray
     _base: dict[tuple[int, int], int] = field(default_factory=dict, repr=False)
-    _lists: dict[str, list] = field(default_factory=dict, repr=False)
+    _lists: dict[str, list] = field(
+        default_factory=dict, init=False, repr=False
+    )
 
     # -------------------------------------------------------------- views
 
     @cached_property
     def atoms(self) -> list[Atom]:
-        """All atoms as objects (validators, serializer, report, executors)."""
+        """All atoms as objects (serializer, report, executors)."""
         return [
             Atom(AtomId(s, layer, x), Region((h0, h1), (w0, w1), (c0, c1)))
             for s, layer, x, (h0, h1, w0, w1, c0, c1) in zip(
@@ -113,50 +114,6 @@ class AtomicDAG:
                 self.atom_bounds.tolist(),
             )
         ]
-
-    @cached_property
-    def preds(self) -> list[tuple[int, ...]]:
-        """Predecessor atom indices per atom (deduplicated, sorted)."""
-        return _rows(self.pred_ptr, self.pred_ids)
-
-    @cached_property
-    def succs(self) -> list[tuple[int, ...]]:
-        """Successor atom indices per atom (sorted)."""
-        return _rows(self.succ_ptr, self.succ_ids)
-
-    @cached_property
-    def edge_bytes(self) -> dict[tuple[int, int], int]:
-        """(producer atom, consumer atom) -> bytes the consumer reads."""
-        consumers = np.repeat(
-            np.arange(self.num_atoms, dtype=np.int64), np.diff(self.pred_ptr)
-        )
-        return dict(
-            zip(
-                zip(self.pred_ids.tolist(), consumers.tolist()),
-                self.pred_bytes.tolist(),
-            )
-        )
-
-    @cached_property
-    def dram_input_bytes(self) -> list[int]:
-        """Per-atom bytes read from DRAM because the producer is an input."""
-        return self.atom_dram_bytes.tolist()
-
-    def with_views(self, **views: object) -> AtomicDAG:
-        """A shallow copy whose named object views are replaced.
-
-        For seeded corruptions: the copy shares the arrays, so its other
-        views still derive from the unmodified arrays.
-
-        Raises:
-            ValueError: For a name that is not an object view.
-        """
-        unknown = set(views) - OBJECT_VIEWS
-        if unknown:
-            raise ValueError(f"not object views: {sorted(unknown)}")
-        clone = copy.copy(self)
-        vars(clone).update(views)
-        return clone
 
     def as_list(self, name: str) -> list:
         """One array as a memoized Python list, for scalar hot loops.
@@ -248,41 +205,25 @@ class AtomicDAG:
         """Fresh indegree array for scheduler initialization."""
         return np.diff(self.pred_ptr).tolist()
 
-    def validate(self) -> None:
-        """Check structural invariants.
 
-        Verified: pred/succ symmetry, acyclicity via layer topology (edges
-        only point from earlier layers to later ones within a sample), and
-        full coverage (each layer's atoms tile its output exactly).
-
-        Raises:
-            ValueError: On any violation.
-        """
-        for i, ps in enumerate(self.preds):
-            for p in ps:
-                if i not in self.succs[p]:
-                    raise ValueError(f"asymmetric edge {p}->{i}")
-                if self.atoms[p].sample != self.atoms[i].sample:
-                    raise ValueError(f"cross-sample edge {p}->{i}")
-                if self.atoms[p].layer >= self.atoms[i].layer:
-                    raise ValueError(f"non-topological edge {p}->{i}")
-        for layer, grid in self.grids.items():
-            covered = sum(r.num_elements for r in grid.regions())
-            if covered != grid.shape.num_elements:
-                raise ValueError(f"layer {layer} tiles do not cover its output")
+def row_owners(ptr: np.ndarray) -> np.ndarray:
+    """The row each CSR slot sits in: ``owner[k]`` is the atom of slot ``k``."""
+    return np.repeat(np.arange(len(ptr) - 1, dtype=np.int64), np.diff(ptr))
 
 
-#: The lazily derived object views of :class:`AtomicDAG`.
-OBJECT_VIEWS = frozenset(
-    {"atoms", "preds", "succs", "edge_bytes", "dram_input_bytes"}
-)
+def csr_rows(
+    rows: np.ndarray, ids: np.ndarray, values: np.ndarray, num: int
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """One CSR side ``(ptr, ids, values)`` of edges grouped by ``rows``.
 
-
-def _rows(ptr: np.ndarray, ids: np.ndarray) -> list[tuple[int, ...]]:
-    """CSR rows as one tuple per atom."""
-    flat = ids.tolist()
-    bounds = ptr.tolist()
-    return [tuple(flat[lo:hi]) for lo, hi in zip(bounds, bounds[1:])]
+    Edge ``k`` goes to row ``rows[k]``; a row keeps its edges in input
+    order (the sort is stable), so edges already sorted by row come back
+    unchanged.
+    """
+    order = np.argsort(rows, kind="stable")
+    ptr = np.zeros(num + 1, dtype=np.int64)
+    np.cumsum(np.bincount(rows, minlength=num), out=ptr[1:])
+    return ptr, ids[order], values[order]
 
 
 def row_slots(
@@ -506,21 +447,16 @@ def build_atomic_dag(
         np.arange(batch, dtype=np.int64) * per_sample, len(cons0)
     )
     consumers = np.tile(cons0, batch) + shift
-    pred_ids = np.tile(prod0, batch) + shift
-    pred_bytes = np.tile(bytes0, batch)
-    pred_ptr = np.zeros(num + 1, dtype=np.int64)
-    np.cumsum(np.bincount(consumers, minlength=num), out=pred_ptr[1:])
-    # Stable by producer: each succ row keeps its consumers ascending.
-    by_producer = np.argsort(pred_ids, kind="stable")
-    succ_ptr = np.zeros(num + 1, dtype=np.int64)
-    np.cumsum(np.bincount(pred_ids, minlength=num), out=succ_ptr[1:])
+    producers = np.tile(prod0, batch) + shift
+    nbytes = np.tile(bytes0, batch)
+    # Already consumer-major, so the pred side keeps the edge order; each
+    # succ row keeps its consumers ascending.
+    pred_ptr, pred_ids, pred_bytes = csr_rows(consumers, producers, nbytes, num)
+    succ_ptr, succ_ids, succ_bytes = csr_rows(producers, consumers, nbytes, num)
 
     layer_ids = [node.node_id for node in layer_nodes]
     tiles = [len(bounds_of[layer]) for layer in layer_ids]
-    ptr0 = np.zeros(per_sample + 1, dtype=np.int64)
-    np.cumsum(np.bincount(cons0, minlength=per_sample), out=ptr0[1:])
-    weights0 = _ints(weight_parts)
-    incoming0 = _row_sums(ptr0, bytes0) + weights0
+    weights = np.tile(_ints(weight_parts), batch)
 
     dag = AtomicDAG(
         graph=graph,
@@ -532,8 +468,8 @@ def build_atomic_dag(
         pred_ids=pred_ids,
         pred_bytes=pred_bytes,
         succ_ptr=succ_ptr,
-        succ_ids=consumers[by_producer],
-        succ_bytes=pred_bytes[by_producer],
+        succ_ids=succ_ids,
+        succ_bytes=succ_bytes,
         atom_sample=np.repeat(np.arange(batch, dtype=np.int64), per_sample),
         atom_layer=np.tile(
             np.repeat(np.asarray(layer_ids, dtype=np.int64), tiles), batch
@@ -548,7 +484,7 @@ def build_atomic_dag(
             (batch, 1),
         ),
         atom_weight_slice=np.tile(_ints(slice_parts), batch),
-        atom_incoming_bytes=np.tile(incoming0, batch),
+        atom_incoming_bytes=_row_sums(pred_ptr, pred_bytes) + weights,
         atom_dram_bytes=np.tile(dram0, batch),
     )
     for sample in range(batch):

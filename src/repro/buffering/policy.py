@@ -18,7 +18,7 @@ from typing import Hashable
 
 import numpy as np
 
-from repro.atoms.dag import AtomicDAG
+from repro.atoms.dag import AtomicDAG, row_owners
 from repro.memory.buffer import EngineBuffer
 from repro.scheduling.rounds import Schedule
 
@@ -60,7 +60,7 @@ class BufferPolicy:
         # Rounds in which each atom's consumers execute, sorted within the
         # atom's succ row: ``_use_rounds[ptr[a]:ptr[a + 1]]``.
         ptr = dag.succ_ptr
-        owner = np.repeat(np.arange(dag.num_atoms, dtype=np.int64), np.diff(ptr))
+        owner = row_owners(ptr)
         use = rounds[dag.succ_ids]
         self._use_ptr: list[int] = ptr.tolist()
         self._use_rounds: list[int] = use[np.lexsort((use, owner))].tolist()

@@ -225,12 +225,9 @@ class ContextCache:
     dataflow, batch)`` — everything :meth:`SearchContext.create`
     consumes — so a cached context is interchangeable with a fresh one.
 
-    Eviction is LRU by access order (no wall clock involved); explicit
-    invalidation is keyed by arch fingerprint, the service's hook for
-    "this architecture description changed, drop every context derived
-    from it".  Counters land in the :mod:`repro.obs` metrics registry as
-    ``context_cache.hits`` / ``.misses`` / ``.evictions`` /
-    ``.invalidated``.
+    Eviction is LRU by access order (no wall clock involved).  Counters
+    land in the :mod:`repro.obs` metrics registry as
+    ``context_cache.hits`` / ``.misses`` / ``.evictions``.
 
     Not thread-safe by itself; the service serializes access through
     its session manager.
@@ -282,18 +279,6 @@ class ContextCache:
             self._entries.pop(oldest)
             registry.counter("context_cache.evictions").inc()
         return ctx
-
-    def invalidate_arch(self, arch_fp: str) -> int:
-        """Drop every context built for the given arch fingerprint.
-
-        Returns the number of entries dropped.
-        """
-        stale = [key for key in self._entries if key[1] == arch_fp]
-        for key in stale:
-            self._entries.pop(key)
-        if stale:
-            get_registry().counter("context_cache.invalidated").inc(len(stale))
-        return len(stale)
 
     def clear(self) -> None:
         """Drop every cached context."""
@@ -617,17 +602,10 @@ class ExactSchedulingStage(SchedulingStage):
 class LayerSequentialSchedulingStage(SchedulingStage):
     """One layer at a time (the LS policy, batch-interleaved)."""
 
-    interleave_batch: bool = True
-
     def run(
         self, ctx: SearchContext, dag: AtomicDAG
     ) -> tuple[Schedule, float | None]:
-        return (
-            layer_sequential_schedule(
-                dag, ctx.num_engines, interleave_batch=self.interleave_batch
-            ),
-            None,
-        )
+        return layer_sequential_schedule(dag, ctx.num_engines), None
 
 
 class MappingStage:
@@ -666,7 +644,6 @@ class SimulationEvaluationStage:
     """Prices a complete solution on the system simulator."""
 
     name = "sim"
-    noc_mode: str = "analytical"
 
     def run(
         self,
@@ -676,7 +653,7 @@ class SimulationEvaluationStage:
         placement: dict[int, int],
         strategy: str = "AD",
     ) -> RunResult:
-        sim = ctx.simulator(dag, strategy=strategy, noc_mode=self.noc_mode)
+        sim = ctx.simulator(dag, strategy=strategy)
         return sim.run(schedule, placement)
 
 

@@ -231,22 +231,6 @@ class SessionManager:
                 return
             session.close()  # the key's warm slot is taken; drop the overflow
 
-    def invalidate_arch(self, arch_fp: str) -> int:
-        """Close every session (and drop every context) for an arch.
-
-        Returns the number of sessions closed.  The daemon calls this
-        when an architecture definition changes under a fingerprint —
-        the explicit invalidation hook the warm-reuse contract requires.
-        """
-        with self._lock:
-            stale = [key for key in self._sessions if key[1] == arch_fp]
-            for key in stale:
-                self._sessions.pop(key).close()
-            self.contexts.invalidate_arch(arch_fp)
-            if stale:
-                get_registry().counter("session.invalidated").inc(len(stale))
-            return len(stale)
-
     def close(self) -> None:
         """Close every session and drop every context (idempotent)."""
         with self._lock:

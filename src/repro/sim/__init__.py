@@ -1,8 +1,12 @@
-"""Event-driven system simulator for the scalable accelerator."""
+"""Round-synchronized system simulator for the scalable accelerator.
+
+Rounds run one after another; within Round ``t`` the simulator charges
+``round_time = blocking + max(compute, prefetch_noc, prefetch_dram)``
+(double buffering, see :mod:`repro.sim.simulator`).
+"""
 
 from __future__ import annotations
 
-from repro.sim.events import Event, EventQueue, Resource
 from repro.sim.simulator import SystemSimulator, WEIGHT_RESIDENCY_FRACTION
 from repro.sim.timeline import (
     EngineAccounting,
@@ -14,9 +18,6 @@ from repro.sim.timeline import (
 )
 
 __all__ = [
-    "Event",
-    "EventQueue",
-    "Resource",
     "SystemSimulator",
     "WEIGHT_RESIDENCY_FRACTION",
     "EngineAccounting",

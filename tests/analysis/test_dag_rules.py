@@ -1,14 +1,22 @@
 """Negative-path tests: one minimally-broken DAG per AD1xx rule.
 
-Each corruption is constructed so *only* the rule under test fires —
-e.g. breaking pred/succ symmetry is done on the succ side so the Kahn
-toposort (AD103) is unaffected, and seeded cycles keep ``edge_bytes``
-consistent so AD104 stays silent.
+Every corruption lands on the CSR edge arrays or per-atom columns that
+the later stages read, in a copy made with ``dataclasses.replace`` (or a
+deep copy), and is constructed so *only* the rule under test fires —
+e.g. an edge added to the succ side alone leaves the Kahn toposort over
+the pred side (AD103) unaffected, and a seeded cycle carries the same
+payload on both sides so AD104 stays silent.
 """
 
 from __future__ import annotations
 
+from dataclasses import replace
+
+import numpy as np
+
 from repro.analysis import check_dag
+from repro.analysis.selfcheck import with_edges
+from repro.atoms.dag import csr_rows, row_owners
 from repro.ir import TensorShape
 
 from tests.analysis.conftest import build_tiny_dag, corrupted
@@ -16,6 +24,11 @@ from tests.analysis.conftest import build_tiny_dag, corrupted
 
 def fired(dag):
     return check_dag(dag).fired_rule_ids()
+
+
+def edges(dag):
+    """``(producers, consumers, bytes)`` of every edge, from the pred side."""
+    return dag.pred_ids, row_owners(dag.pred_ptr), dag.pred_bytes
 
 
 class TestCleanDag:
@@ -36,65 +49,106 @@ class TestAD101IndexAlignment:
         assert fired(dag) == {"AD101"}
 
     def test_extra_preds_entry(self, tiny_dag):
-        dag = corrupted(tiny_dag)
-        dag.preds.append(())
+        ptr = tiny_dag.pred_ptr
+        assert fired(replace(tiny_dag, pred_ptr=np.append(ptr, ptr[-1]))) == {
+            "AD101"
+        }
+
+    def test_shortened_column(self, tiny_dag):
+        dag = replace(tiny_dag, atom_dram_bytes=tiny_dag.atom_dram_bytes[:-1])
+        assert fired(dag) == {"AD101"}
+
+    def test_decreasing_ptr(self, tiny_dag):
+        ptr = tiny_dag.succ_ptr.copy()
+        ptr[1] = ptr[-1] + 1
+        assert fired(replace(tiny_dag, succ_ptr=ptr)) == {"AD101"}
+
+    def test_ids_outrun_ptr(self, tiny_dag):
+        dag = replace(tiny_dag, pred_ids=np.append(tiny_dag.pred_ids, 0))
         assert fired(dag) == {"AD101"}
 
 
 class TestAD102Mirroring:
     def test_succ_without_pred(self, tiny_dag):
-        dag = corrupted(tiny_dag)
-        last = dag.num_atoms - 1
-        dag.succs[0] = dag.succs[0] + (last,)
-        assert fired(dag) == {"AD102"}
+        # The succ side's first edge now points at the last atom (layer
+        # c3), which reads only layer c2 on the pred side.
+        succ_ids = tiny_dag.succ_ids.copy()
+        succ_ids[0] = tiny_dag.num_atoms - 1
+        assert fired(replace(tiny_dag, succ_ids=succ_ids)) == {"AD102"}
+
+    def test_pred_out_of_range(self, tiny_dag):
+        pred_ids = tiny_dag.pred_ids.copy()
+        pred_ids[-1] = tiny_dag.num_atoms
+        assert fired(replace(tiny_dag, pred_ids=pred_ids)) == {"AD102"}
 
 
 class TestAD103Acyclicity:
     def test_two_atom_cycle(self, tiny_dag):
-        dag = corrupted(tiny_dag)
         # Atom 2 (layer c2) already depends on atom 0 (layer c1); add the
-        # reverse edge with full pred/succ/edge_bytes consistency so only
-        # the cycle itself is illegal.
-        assert 0 in dag.preds[2]
-        dag.preds[0] = dag.preds[0] + (2,)
-        dag.succs[2] = dag.succs[2] + (0,)
-        dag.edge_bytes[(2, 0)] = 1
+        # reverse edge on both sides with one payload so only the cycle
+        # itself is illegal.
+        producers, consumers, nbytes = edges(tiny_dag)
+        assert 0 in producers[consumers == 2]
+        dag = with_edges(
+            tiny_dag,
+            np.append(producers, 2),
+            np.append(consumers, 0),
+            np.append(nbytes, 1),
+        )
         assert fired(dag) == {"AD103"}
+
+    def test_succ_side_cannot_hide_a_cycle(self, tiny_dag):
+        # The reverse edge on the pred side alone: Kahn reads only that
+        # side, so the cycle is found next to the mirroring mismatch.
+        producers, consumers, nbytes = edges(tiny_dag)
+        pred_ptr, pred_ids, pred_bytes = csr_rows(
+            np.append(consumers, 0),
+            np.append(producers, 2),
+            np.append(nbytes, 1),
+            tiny_dag.num_atoms,
+        )
+        dag = replace(
+            tiny_dag, pred_ptr=pred_ptr, pred_ids=pred_ids, pred_bytes=pred_bytes
+        )
+        assert fired(dag) == {"AD102", "AD103"}
 
 
 class TestAD104EdgeBytes:
     def test_phantom_entry(self, tiny_dag):
-        dag = corrupted(tiny_dag)
-        assert 0 not in dag.preds[1]  # same-layer atoms share no edge
-        dag.edge_bytes[(1, 0)] = 7
-        assert fired(dag) == {"AD104"}
+        # The succ side carries a payload the pred side does not.
+        succ_bytes = tiny_dag.succ_bytes.copy()
+        succ_bytes[0] += 7
+        assert fired(replace(tiny_dag, succ_bytes=succ_bytes)) == {"AD104"}
 
     def test_missing_entry(self, tiny_dag):
-        dag = corrupted(tiny_dag)
-        key = next(iter(dag.edge_bytes))
-        del dag.edge_bytes[key]
-        assert fired(dag) == {"AD104"}
+        # One edge carries no payload, on both sides alike.
+        producers, consumers, nbytes = edges(tiny_dag)
+        nbytes = nbytes.copy()
+        nbytes[0] = 0
+        assert fired(with_edges(tiny_dag, producers, consumers, nbytes)) == {
+            "AD104"
+        }
 
 
 class TestAD105BatchIsomorphism:
     def test_edge_dropped_from_second_sample(self):
-        dag = corrupted(build_tiny_dag(batch=2))
-        # Find an intra-sample edge of sample 1 and remove it everywhere
-        # (preds, succs, edge_bytes stay mutually consistent).
-        consumer = next(
-            i
-            for i in range(dag.num_atoms)
-            if dag.atoms[i].sample == 1 and dag.preds[i]
-        )
-        producer = dag.preds[consumer][0]
-        assert dag.atoms[producer].sample == 1
-        dag.preds[consumer] = tuple(
-            p for p in dag.preds[consumer] if p != producer
-        )
-        dag.succs[producer] = tuple(
-            s for s in dag.succs[producer] if s != consumer
-        )
-        del dag.edge_bytes[(producer, consumer)]
+        dag = build_tiny_dag(batch=2)
+        producers, consumers, nbytes = edges(dag)
+        # Sample 1's first edge, removed from both sides alike.
+        drop = np.flatnonzero(dag.atom_sample[consumers] == 1)[0]
+        assert dag.atom_sample[producers[drop]] == 1
+        keep = np.arange(len(producers)) != drop
+        dag = with_edges(dag, producers[keep], consumers[keep], nbytes[keep])
+        assert fired(dag) == {"AD105"}
+
+    def test_cross_sample_edge(self):
+        dag = build_tiny_dag(batch=2)
+        producers, consumers, nbytes = edges(dag)
+        # Sample 1's first edge reads sample 0's copy of its producer.
+        moved = np.flatnonzero(dag.atom_sample[consumers] == 1)[0]
+        producers = producers.copy()
+        producers[moved] -= dag.num_atoms // 2
+        dag = with_edges(dag, producers, consumers, nbytes)
         assert fired(dag) == {"AD105"}
 
 

@@ -1,10 +1,15 @@
 """Tests for atomic DAG construction and dependency inference."""
 
+import numpy as np
 import pytest
 
+from repro.analysis import check_dag
 from repro.atoms import AtomId, TileSize, build_atomic_dag, uniform_tiling
+from repro.atoms.dag import row_owners
 from repro.ir import GraphBuilder
 from repro.ir.transforms import fuse_elementwise
+
+from tests.dag_rows import in_bytes, preds
 
 
 def _fused(graph):
@@ -24,7 +29,8 @@ class TestConstruction:
         assert len(chain_dag.costs) == chain_dag.num_atoms
 
     def test_validates(self, chain_dag):
-        chain_dag.validate()
+        report = check_dag(chain_dag)
+        assert report.checked and not report.diagnostics
 
     def test_index_of_round_trips(self, chain_dag):
         for i, atom in enumerate(chain_dag.atoms):
@@ -44,8 +50,8 @@ class TestDependencies:
     def test_first_layer_reads_dram(self, chain_dag):
         first_layer = min(a.layer for a in chain_dag.atoms)
         for i in chain_dag.atoms_of_layer(first_layer):
-            assert chain_dag.preds[i] == ()
-            assert chain_dag.dram_input_bytes[i] > 0
+            assert preds(chain_dag, i) == []
+            assert chain_dag.atom_dram_bytes[i] > 0
 
     def test_halo_dependencies(self, kc_model):
         # 3x3 conv: an interior consumer tile overlaps 4 producer tiles when
@@ -59,7 +65,7 @@ class TestDependencies:
         c2_id = g.by_name("c2").node_id
         atoms = list(dag.atoms_of_layer(c2_id))
         # Every c2 tile touches its own producer tile plus halo neighbours.
-        pred_counts = [len(dag.preds[i]) for i in atoms]
+        pred_counts = [len(preds(dag, i)) for i in atoms]
         assert all(c == 4 for c in pred_counts)
 
     def test_pointwise_conv_is_one_to_one(self, kc_model):
@@ -71,7 +77,7 @@ class TestDependencies:
         dag = build_atomic_dag(g, uniform_tiling(g, TileSize(4, 4, 4, 4)), kc_model)
         c2_id = g.by_name("c2").node_id
         for i in dag.atoms_of_layer(c2_id):
-            assert len(dag.preds[i]) == 1
+            assert len(preds(dag, i)) == 1
 
     def test_edge_bytes_equal_overlap(self, kc_model):
         b = GraphBuilder(name="pw")
@@ -82,8 +88,8 @@ class TestDependencies:
         dag = build_atomic_dag(g, uniform_tiling(g, TileSize(4, 8, 4, 4)), kc_model)
         c2_id = g.by_name("c2").node_id
         for i in dag.atoms_of_layer(c2_id):
-            (p,) = dag.preds[i]
-            assert dag.edge_bytes[(p, i)] == dag.atoms[i].region.num_elements
+            ((p, nbytes),) = in_bytes(dag, i).items()
+            assert nbytes == dag.atoms[i].region.num_elements
 
     def test_concat_edges_respect_channel_ranges(self, branching_graph, kc_model):
         g = _fused(branching_graph)
@@ -95,8 +101,8 @@ class TestDependencies:
         atoms = list(dag.atoms_of_layer(join))
         # Tiled 8 channels each: first concat tile reads b1, second reads b2.
         first, second = atoms[0], atoms[1]
-        pred_layers_first = {dag.atoms[p].layer for p in dag.preds[first]}
-        pred_layers_second = {dag.atoms[p].layer for p in dag.preds[second]}
+        pred_layers_first = {dag.atoms[p].layer for p in preds(dag, first)}
+        pred_layers_second = {dag.atoms[p].layer for p in preds(dag, second)}
         assert pred_layers_first == {b1}
         assert pred_layers_second == {b2}
 
@@ -106,7 +112,7 @@ class TestDependencies:
         dag = build_atomic_dag(g, tiling, kc_model)
         join = g.by_name("join").node_id
         for i in dag.atoms_of_layer(join):
-            pred_layers = {dag.atoms[p].layer for p in dag.preds[i]}
+            pred_layers = {dag.atoms[p].layer for p in preds(dag, i)}
             assert len(pred_layers) == 2
 
 
@@ -122,9 +128,11 @@ class TestBatch:
         g = _fused(chain_graph)
         tiling = uniform_tiling(g, TileSize(4, 4, 8, 8))
         dag = build_atomic_dag(g, tiling, kc_model, batch=2)
-        for i, preds in enumerate(dag.preds):
-            for p in preds:
-                assert dag.atoms[p].sample == dag.atoms[i].sample
+        consumers = row_owners(dag.pred_ptr)
+        assert len(consumers) > 0
+        np.testing.assert_array_equal(
+            dag.atom_sample[dag.pred_ids], dag.atom_sample[consumers]
+        )
 
     def test_weight_key_shared_across_samples(self, chain_graph, kc_model):
         g = _fused(chain_graph)
@@ -145,7 +153,7 @@ class TestHelpers:
     def test_indegrees_fresh_copy(self, chain_dag):
         d1 = chain_dag.indegrees()
         d1[0] = 999
-        assert chain_dag.indegrees()[0] != 999 or chain_dag.preds[0] == ()
+        assert chain_dag.indegrees()[0] != 999 or preds(chain_dag, 0) == []
 
     def test_weight_key_none_for_vector_atoms(self, residual_graph, kc_model):
         g = _fused(residual_graph)

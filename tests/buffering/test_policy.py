@@ -6,6 +6,8 @@ from repro.buffering import BufferPolicy, weight_entry_key
 from repro.memory import EngineBuffer
 from repro.scheduling import schedule_greedy
 
+from tests.dag_rows import succs
+
 
 @pytest.fixture
 def policy(chain_dag):
@@ -18,22 +20,22 @@ class TestNextUse:
         pol, schedule = policy
         atom_round = schedule.atom_round()
         for a in range(chain_dag.num_atoms):
-            if not chain_dag.succs[a]:
+            if not succs(chain_dag, a):
                 continue
-            expected = min(atom_round[s] for s in chain_dag.succs[a])
+            expected = min(atom_round[s] for s in succs(chain_dag, a))
             assert pol.next_use(a, 0) == expected
 
     def test_next_use_respects_t0(self, chain_dag, policy):
         pol, schedule = policy
         atom_round = schedule.atom_round()
-        a = next(i for i in range(chain_dag.num_atoms) if chain_dag.succs[i])
-        last = max(atom_round[s] for s in chain_dag.succs[a])
+        a = next(i for i in range(chain_dag.num_atoms) if succs(chain_dag, i))
+        last = max(atom_round[s] for s in succs(chain_dag, a))
         assert pol.next_use(a, last + 1) is None
 
     def test_sink_atom_never_used(self, chain_dag, policy):
         pol, _ = policy
         sink = next(
-            i for i in range(chain_dag.num_atoms) if not chain_dag.succs[i]
+            i for i in range(chain_dag.num_atoms) if not succs(chain_dag, i)
         )
         assert pol.next_use(sink, 0) is None
 
@@ -56,7 +58,7 @@ class TestReleaseDead:
         pol, _ = policy
         buf = EngineBuffer(capacity_bytes=10_000)
         sink = next(
-            i for i in range(chain_dag.num_atoms) if not chain_dag.succs[i]
+            i for i in range(chain_dag.num_atoms) if not succs(chain_dag, i)
         )
         buf.store(sink, 100)
         evs = pol.release_dead(buf, t0=0)
@@ -67,7 +69,7 @@ class TestReleaseDead:
     def test_live_entries_kept(self, chain_dag, policy):
         pol, _ = policy
         buf = EngineBuffer(capacity_bytes=10_000)
-        live = next(i for i in range(chain_dag.num_atoms) if chain_dag.succs[i])
+        live = next(i for i in range(chain_dag.num_atoms) if succs(chain_dag, i))
         buf.store(live, 100)
         assert pol.release_dead(buf, t0=0) == []
         assert buf.contains(live)
@@ -80,7 +82,7 @@ class TestChooseVictim:
         live = [
             i
             for i in range(chain_dag.num_atoms)
-            if chain_dag.succs[i] and atom_round[i] == 0
+            if succs(chain_dag, i) and atom_round[i] == 0
         ]
         assert len(live) >= 2
         buf = EngineBuffer(capacity_bytes=10**6)
@@ -94,7 +96,7 @@ class TestChooseVictim:
 
     def test_size_dominates_when_wait_equal(self, chain_dag, policy):
         pol, _ = policy
-        a = next(i for i in range(chain_dag.num_atoms) if chain_dag.succs[i])
+        a = next(i for i in range(chain_dag.num_atoms) if succs(chain_dag, i))
         buf = EngineBuffer(capacity_bytes=10**6)
         buf.store(a, 100)
         buf.store(("w", 99, 0), 10_000)  # never-used weight: huge occupation
@@ -119,7 +121,7 @@ class TestMakeRoom:
         live = [
             i
             for i in range(chain_dag.num_atoms)
-            if chain_dag.succs[i] and atom_round[i] == 0
+            if succs(chain_dag, i) and atom_round[i] == 0
         ][:2]
         buf = EngineBuffer(capacity_bytes=1000)
         for a in live:

@@ -8,6 +8,8 @@ from repro.mapping import (
 from repro.noc import Mesh2D
 from repro.scheduling import schedule_greedy
 
+from tests.dag_rows import in_bytes
+
 
 class TestZigzagPlacement:
     def test_every_atom_placed(self, chain_dag):
@@ -62,11 +64,11 @@ class TestOptimizedPlacement:
         local = 0
         remote = 0
         for i in range(chain_dag.num_atoms):
-            for p in chain_dag.preds[i]:
+            for p, nbytes in in_bytes(chain_dag, i).items():
                 if opt[p] == opt[i]:
-                    local += chain_dag.edge_bytes[(p, i)]
+                    local += nbytes
                 else:
-                    remote += chain_dag.edge_bytes[(p, i)]
+                    remote += nbytes
         assert local >= remote
 
 

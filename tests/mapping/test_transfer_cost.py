@@ -9,12 +9,14 @@ from repro.mapping.transfer_cost import DRAM_HOP_PENALTY, round_cost_matrix
 from repro.noc import Mesh2D, Torus2D
 from repro.scheduling import schedule_greedy
 
+from tests.dag_rows import in_bytes, preds
+
 
 def _first_consumer_round(dag, schedule):
     """First round containing atoms with on-chip predecessors."""
     done: dict[int, int] = {}
     for rnd in schedule.rounds:
-        if any(dag.preds[a] for a in rnd.atom_indices):
+        if any(preds(dag, a) for a in rnd.atom_indices):
             return rnd, done
         for a in rnd.atom_indices:
             done[a] = 0
@@ -27,7 +29,7 @@ class TestRoundTransferCost:
         schedule = schedule_greedy(chain_dag, 4)
         rnd, _ = _first_consumer_round(chain_dag, schedule)
         # Place every predecessor on engine 0 and every consumer on 0 too.
-        placement = {p: 0 for a in rnd.atom_indices for p in chain_dag.preds[a]}
+        placement = {p: 0 for a in rnd.atom_indices for p in preds(chain_dag, a)}
         cost = round_transfer_cost(
             chain_dag, mesh, placement, rnd.atom_indices,
             tuple(0 for _ in rnd.atom_indices),
@@ -38,7 +40,7 @@ class TestRoundTransferCost:
         mesh = Mesh2D(2, 2)
         schedule = schedule_greedy(chain_dag, 4)
         rnd, _ = _first_consumer_round(chain_dag, schedule)
-        placement = {p: 0 for a in rnd.atom_indices for p in chain_dag.preds[a]}
+        placement = {p: 0 for a in rnd.atom_indices for p in preds(chain_dag, a)}
         near = round_transfer_cost(
             chain_dag, mesh, placement, rnd.atom_indices,
             tuple(1 for _ in rnd.atom_indices),  # 1 hop from engine 0
@@ -54,9 +56,7 @@ class TestRoundTransferCost:
         schedule = schedule_greedy(chain_dag, 4)
         rnd, _ = _first_consumer_round(chain_dag, schedule)
         bytes_in = sum(
-            chain_dag.edge_bytes[(p, a)]
-            for a in rnd.atom_indices
-            for p in chain_dag.preds[a]
+            sum(in_bytes(chain_dag, a).values()) for a in rnd.atom_indices
         )
         cost = round_transfer_cost(
             chain_dag, mesh, {}, rnd.atom_indices,

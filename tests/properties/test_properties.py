@@ -8,6 +8,7 @@ conservation, and cost-model monotonicity.
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.analysis import check_dag
 from repro.atoms import TileSize, build_atomic_dag, grid_for, uniform_tiling
 from repro.config import EngineConfig
 from repro.engine import EngineCostModel, get_dataflow
@@ -129,7 +130,8 @@ class TestScheduleProperties:
         tiling = uniform_tiling(g, TileSize(4, 4, 8, 8))
         d1 = build_atomic_dag(g, tiling, cm, batch=1)
         dn = build_atomic_dag(g, tiling, cm, batch=batch)
-        dn.validate()
+        report = check_dag(dn)
+        assert report.checked and not report.diagnostics
         assert dn.num_atoms == batch * d1.num_atoms
 
 

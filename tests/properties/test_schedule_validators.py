@@ -1,9 +1,11 @@
-"""Property-based tests tying the schedulers to the AD2xx validators.
+"""Property-based tests tying the builder and schedulers to the validators.
 
 Invariants: every schedule produced by the three schedulers
 (exact DP, priority-pruned, greedy) passes `check_schedule` with zero
 findings on randomly-shaped graphs; conversely, pulling any atom into
-the Round of one of its predecessors always trips AD203.
+the Round of one of its predecessors always trips AD203.  Every built
+DAG passes `check_dag`, and each seeded corruption of its CSR arrays
+(`repro.analysis.selfcheck.DAG_CORRUPTIONS`) fires exactly its rule.
 """
 
 from __future__ import annotations
@@ -11,7 +13,8 @@ from __future__ import annotations
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from repro.analysis import check_schedule
+from repro.analysis import check_dag, check_schedule
+from repro.analysis.selfcheck import DAG_CORRUPTIONS
 from repro.atoms import TileSize, build_atomic_dag, uniform_tiling
 from repro.config import EngineConfig
 from repro.engine import EngineCostModel, get_dataflow
@@ -25,6 +28,8 @@ from repro.scheduling import (
     schedule_greedy,
     schedule_pruned,
 )
+
+from tests.dag_rows import preds
 
 COST_MODEL = EngineCostModel(
     EngineConfig(pe_rows=8, pe_cols=8), get_dataflow("kc")
@@ -49,6 +54,42 @@ def small_dags(draw):
     g = b.build()
     tiling = uniform_tiling(g, TileSize(tile_h, 8, 8, tile_c))
     return build_atomic_dag(g, tiling, COST_MODEL, batch=batch)
+
+
+@st.composite
+def varied_dags(draw):
+    """DAGs with a depthwise, a stride-2 and a concat layer, odd spatial
+    sizes, random tiles and batch 1-3."""
+    height = draw(st.sampled_from([5, 7, 9]))
+    width = draw(st.sampled_from([3, 5, 7]))
+    tile = TileSize(
+        draw(st.sampled_from([2, 3, 4])),
+        draw(st.sampled_from([2, 3, 8])),
+        8,
+        draw(st.sampled_from([4, 8])),
+    )
+    batch = draw(st.integers(1, 3))
+
+    b = GraphBuilder(name="prop_arrays")
+    x = b.input(height, width, 4)
+    c1 = b.conv(x, 8, kernel=3, name="c1")
+    dw = b.depthwise_conv(c1, kernel=3, name="dw")
+    down = b.conv(dw, 8, kernel=3, stride=2, name="down")
+    side = b.conv(c1, 4, kernel=1, stride=2, name="side")
+    join = b.concat(down, side, name="join")
+    b.conv(join, 8, kernel=1, name="tail")
+    g = b.build()
+    return build_atomic_dag(g, uniform_tiling(g, tile), COST_MODEL, batch=batch)
+
+
+class TestDagCheckersOnGeneratedDags:
+    @given(varied_dags())
+    @settings(max_examples=25, deadline=None)
+    def test_clean_and_each_corruption_fires_its_rule(self, dag):
+        report = check_dag(dag)
+        assert report.checked and not report.diagnostics, report.render()
+        for rule, (label, corrupt) in DAG_CORRUPTIONS.items():
+            assert check_dag(corrupt(dag)).fired_rule_ids() == {rule}, label
 
 
 class TestSchedulersSatisfyValidator:
@@ -97,7 +138,7 @@ class TestMutatedSchedulesFailValidator:
         movable = [
             (a, p)
             for a in range(dag.num_atoms)
-            for p in dag.preds[a]
+            for p in preds(dag, a)
         ]
         assume(movable)
         a, p = data.draw(st.sampled_from(movable))

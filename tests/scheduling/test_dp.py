@@ -12,6 +12,8 @@ from repro.scheduling import (
     schedule_pruned,
 )
 
+from tests.dag_rows import in_bytes, preds, succs
+
 
 def _tiny_dag(kc_model, tiles=TileSize(4, 8, 16, 16)):
     b = GraphBuilder(name="tiny")
@@ -121,9 +123,9 @@ class TestCommunicationAwareDP:
         """Bytes crossing adjacent-Round dependency edges (unprefetchable)."""
         rounds = schedule.atom_round()
         return sum(
-            dag.edge_bytes[(p, a)]
+            nbytes
             for a in range(dag.num_atoms)
-            for p in dag.preds[a]
+            for p, nbytes in in_bytes(dag, a).items()
             if rounds[p] == rounds[a] - 1
         )
 
@@ -145,12 +147,12 @@ class TestCommunicationAwareDP:
         state.commit(first)
         # Any successor of a first-Round atom now reports blocking bytes.
         succ = next(
-            s for a in first for s in dag.succs[a] if s in state.ready
+            s for a in first for s in succs(dag, a) if s in state.ready
         )
         assert state.blocking_bytes(succ) > 0
         # An atom with no just-produced inputs reports zero.
         fresh = next(
-            (a for a in state.ready if not dag.preds[a]), None
+            (a for a in state.ready if not preds(dag, a)), None
         )
         if fresh is not None:
             assert state.blocking_bytes(fresh) == 0

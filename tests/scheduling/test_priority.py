@@ -12,6 +12,8 @@ from repro.scheduling import (
     fill_by_priority,
 )
 
+from tests.dag_rows import preds
+
 
 def _two_branch_dag(kc_model):
     """Two parallel convs at the same depth feeding a concat."""
@@ -29,7 +31,7 @@ class TestSchedulerState:
     def test_initial_ready_set_is_sources(self, chain_dag):
         state = SchedulerState(chain_dag)
         assert state.ready == {
-            i for i in range(chain_dag.num_atoms) if not chain_dag.preds[i]
+            i for i in range(chain_dag.num_atoms) if not preds(chain_dag, i)
         }
 
     def test_commit_unlocks_successors(self, chain_dag):
@@ -43,7 +45,7 @@ class TestSchedulerState:
     def test_commit_unready_atom_rejected(self, chain_dag):
         state = SchedulerState(chain_dag)
         not_ready = next(
-            i for i in range(chain_dag.num_atoms) if chain_dag.preds[i]
+            i for i in range(chain_dag.num_atoms) if preds(chain_dag, i)
         )
         with pytest.raises(ValueError):
             state.commit((not_ready,))

@@ -6,7 +6,6 @@ from dataclasses import replace
 
 import pytest
 
-from repro.config import ArchConfig
 from repro.framework import AtomicDataflowOptimizer
 from repro.models import get_model
 from repro.obs import get_registry
@@ -39,17 +38,6 @@ class TestContextCache:
         cache.get(g1, arch, batch=2)  # evicts g2 (LRU)
         assert cache.get(g1, arch) is c1
         assert len(cache) == 2 + 1 - 1  # capacity respected
-
-    def test_invalidate_arch(self, arch):
-        cache = ContextCache(capacity=4)
-        graph = get_model("mobilenet_v2_bench")
-        other = ArchConfig(mesh_rows=2, mesh_cols=2)
-        stale = cache.get(graph, arch)
-        cache.get(graph, other)
-        dropped = cache.invalidate_arch(ContextCache.key_for(graph, arch)[1])
-        assert dropped == 1
-        assert cache.get(graph, other) is not None
-        assert cache.get(graph, arch) is not stale  # rebuilt
 
     def test_capacity_validation(self):
         with pytest.raises(ValueError):
@@ -131,20 +119,5 @@ class TestSessionManager:
             assert len(manager) == 1
             with pytest.raises(RuntimeError):
                 s1.optimize(fast_options)
-        finally:
-            manager.close()
-
-    def test_invalidate_arch_closes_sessions(self, arch, fast_options):
-        manager = SessionManager(capacity=4)
-        try:
-            graph = get_model("mobilenet_v2_bench")
-            session = manager.get(graph, arch, fast_options)
-            closed = manager.invalidate_arch(
-                ContextCache.key_for(graph, arch)[1]
-            )
-            assert closed == 1
-            assert len(manager) == 0
-            with pytest.raises(RuntimeError):
-                session.optimize(fast_options)
         finally:
             manager.close()

@@ -54,7 +54,7 @@ class TestRunBasics:
     def test_dram_reads_cover_input_and_weights(self, setup):
         arch, dag, schedule, placement = setup
         result = SystemSimulator(arch, dag).run(schedule, placement)
-        min_reads = sum(dag.dram_input_bytes)
+        min_reads = int(dag.atom_dram_bytes.sum())
         assert result.dram_bytes_read >= min_reads
 
     def test_throughput_latency_relation(self, setup):

@@ -4,8 +4,9 @@ The sibling of ``test_sim_equivalence.py``: that file pins what the
 simulator reports, this one pins what it is fed.  Each case pins sha256
 digests of
 
-* the DAG's views — ``preds``, ``succs``, the sorted ``edge_bytes`` items,
-  ``dram_input_bytes``, every atom's id and region, and its weight key;
+* the DAG's arrays — each atom's pred and succ CSR rows, every edge's
+  ``(producer, consumer, bytes)`` in sorted order, each atom's DRAM input
+  bytes, id, region and weight key;
 * the Rounds of ``schedule_pruned`` (lookahead 1), ``schedule_greedy`` and
   ``layer_sequential_schedule``;
 * ``optimized_placement`` of the pruned schedule.
@@ -25,8 +26,10 @@ import hashlib
 import json
 from dataclasses import replace
 
+import numpy as np
 import pytest
 
+from repro.atoms.dag import row_owners
 from repro.atoms.generation import layer_sequential_tiling
 from repro.config import DEFAULT_ARCH
 from repro.mapping import optimized_placement
@@ -90,25 +93,28 @@ def _digest(doc) -> str:
     return hashlib.sha256(json.dumps(doc, sort_keys=True).encode()).hexdigest()
 
 
+def _rows(ptr, values) -> list:
+    """One list per CSR row."""
+    flat, bounds = values.tolist(), ptr.tolist()
+    return [flat[lo:hi] for lo, hi in zip(bounds, bounds[1:])]
+
+
 def _dag_doc(dag) -> dict:
+    consumers = row_owners(dag.pred_ptr)
     return {
-        "preds": [list(p) for p in dag.preds],
-        "succs": [list(s) for s in dag.succs],
+        "preds": _rows(dag.pred_ptr, dag.pred_ids),
+        "succs": _rows(dag.succ_ptr, dag.succ_ids),
         "edge_bytes": sorted(
-            [p, c, nbytes] for (p, c), nbytes in dag.edge_bytes.items()
+            zip(
+                dag.pred_ids.tolist(),
+                consumers.tolist(),
+                dag.pred_bytes.tolist(),
+            )
         ),
-        "dram_input_bytes": list(dag.dram_input_bytes),
-        "atoms": [
-            [
-                atom.sample,
-                atom.layer,
-                atom.atom_id.index,
-                *atom.region.h,
-                *atom.region.w,
-                *atom.region.c,
-            ]
-            for atom in dag.atoms
-        ],
+        "dram_input_bytes": dag.atom_dram_bytes.tolist(),
+        "atoms": np.column_stack(
+            (dag.atom_sample, dag.atom_layer, dag.atom_tile, dag.atom_bounds)
+        ).tolist(),
         "weight_keys": [
             None if wk is None else list(wk)
             for wk in map(dag.weight_key, range(dag.num_atoms))

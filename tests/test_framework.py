@@ -163,3 +163,16 @@ class TestValidateOption:
         ).optimize()
         report = validate_outcome(outcome, arch)
         assert report.ok
+
+    def test_validation_reads_only_the_arrays(self, net, arch):
+        from repro.analysis import validate_outcome
+
+        outcome = AtomicDataflowOptimizer(
+            net, arch,
+            OptimizerOptions(
+                scheduler="greedy", seed=3, sa_params=FAST_SA, validate=True
+            ),
+        ).optimize()
+        assert validate_outcome(outcome, arch).ok
+        # No validator derives the atom objects from the columns.
+        assert "atoms" not in vars(outcome.dag)
