@@ -14,58 +14,60 @@ The public surface: :mod:`repro.models` (workloads), :func:`optimize` /
 :class:`AtomicDataflowOptimizer` (the paper's framework),
 :mod:`repro.baselines` (LS / CNN-P / IL-Pipe / Rammer comparators),
 :class:`repro.config.ArchConfig` (the machine model), and
-:mod:`repro.obs` (span tracing, metrics, and Perfetto export).
+:mod:`repro.obs` (span tracing, metrics, and Perfetto export).  Each
+name loads its module on first use, so ``import repro.<x>`` loads only
+what ``x`` needs.
 """
 
 from __future__ import annotations
 
-from repro import baselines, models, obs, report, serialize
-from repro.config import (
-    DEFAULT_ARCH,
-    PROTOTYPE_ARCH,
-    ArchConfig,
-    EnergyConfig,
-    EngineConfig,
-    HbmConfig,
-    NocConfig,
-)
-from repro.framework import (
-    AtomicDataflowOptimizer,
-    OptimizationOutcome,
-    OptimizerOptions,
-    optimize,
-)
-from repro.metrics import (
-    EnergyBreakdown,
-    RunResult,
-    SearchStats,
-    UtilizationReport,
-)
-from repro.pipeline import CandidateTrace, SearchContext
+import importlib
+from typing import Any, Callable, Mapping
 
 __version__ = "1.0.0"
 
-__all__ = [
-    "ArchConfig",
-    "AtomicDataflowOptimizer",
-    "CandidateTrace",
-    "DEFAULT_ARCH",
-    "EnergyBreakdown",
-    "EnergyConfig",
-    "EngineConfig",
-    "HbmConfig",
-    "NocConfig",
-    "OptimizationOutcome",
-    "OptimizerOptions",
-    "PROTOTYPE_ARCH",
-    "RunResult",
-    "SearchContext",
-    "SearchStats",
-    "UtilizationReport",
-    "baselines",
-    "models",
-    "obs",
-    "report",
-    "serialize",
-    "optimize",
-]
+
+def _lazy_exports(package: str, table: Mapping[str, str]) -> Callable[[str], Any]:
+    """The PEP 562 ``__getattr__`` of ``package`` (this one,
+    :mod:`repro.analysis`, :mod:`repro.service`): ``table`` maps each
+    exported name to the module defining it, or a submodule's name to
+    that submodule, imported on first use."""
+
+    def __getattr__(name: str) -> Any:
+        if name not in table:
+            raise AttributeError(f"module {package!r} has no attribute {name!r}")
+        module = table[name]
+        imported = importlib.import_module(module)
+        return imported if module == f"{package}.{name}" else getattr(imported, name)
+
+    return __getattr__
+
+
+#: Every public name and the module that defines it, loaded on first use.
+_EXPORTS = {
+    "ArchConfig": "repro.config",
+    "AtomicDataflowOptimizer": "repro.framework",
+    "CandidateTrace": "repro.pipeline",
+    "DEFAULT_ARCH": "repro.config",
+    "EnergyBreakdown": "repro.metrics",
+    "EnergyConfig": "repro.config",
+    "EngineConfig": "repro.config",
+    "HbmConfig": "repro.config",
+    "NocConfig": "repro.config",
+    "OptimizationOutcome": "repro.framework",
+    "OptimizerOptions": "repro.framework",
+    "PROTOTYPE_ARCH": "repro.config",
+    "RunResult": "repro.metrics",
+    "SearchContext": "repro.pipeline",
+    "SearchStats": "repro.metrics",
+    "UtilizationReport": "repro.metrics",
+    "baselines": "repro.baselines",
+    "models": "repro.models",
+    "obs": "repro.obs",
+    "report": "repro.report",
+    "serialize": "repro.serialize",
+    "optimize": "repro.framework",
+}
+
+__all__ = list(_EXPORTS)
+__getattr__ = _lazy_exports(__name__, _EXPORTS)

@@ -26,14 +26,15 @@ import os
 import sys
 from pathlib import Path
 
-import repro
-from repro.analysis.artifacts import validate_solution_file
-from repro.analysis.diagnostics import Report, all_rules
+from repro.analysis.diagnostics import Report
 from repro.analysis.lint import lint_paths
-from repro.cli import parse_mesh
+from repro.config import parse_mesh
 
 #: Baseline auto-discovered for ``--static`` when ``--baseline`` is absent.
 DEFAULT_BASELINE = Path("tools/static_baseline.json")
+
+#: The installed ``repro`` package: the default lint and ``--static`` scope.
+PACKAGE_DIR = Path(__file__).parent.parent
 
 
 def build_parser(prog: str = "repro.analysis") -> argparse.ArgumentParser:
@@ -131,7 +132,7 @@ def _run_static(args: argparse.Namespace) -> int:
         save_baseline,
     )
 
-    paths = [Path(p) for p in args.paths] or [Path(repro.__file__).parent]
+    paths = [Path(p) for p in args.paths] or [PACKAGE_DIR]
     missing = [p for p in paths if not p.exists()]
     if missing:
         for p in missing:
@@ -171,7 +172,11 @@ def main(argv: list[str] | None = None, prog: str = "repro.analysis") -> int:
     """CLI entry point."""
     args = build_parser(prog).parse_args(argv)
 
+    # Each mode imports the checkers it runs, so --list-rules, --journal
+    # and --store never load the optimizer.
     if args.list_rules:
+        from repro.analysis.catalog import all_rules
+
         for rule in all_rules():
             print(
                 f"{rule.rule_id:<9}{rule.severity!s:<9}{rule.tier:<10}"
@@ -225,6 +230,7 @@ def main(argv: list[str] | None = None, prog: str = "repro.analysis") -> int:
         if not args.model:
             print("--artifact requires --model", file=sys.stderr)
             return 2
+        from repro.analysis.outcome import validate_solution_file
         from repro.config import ArchConfig
         from repro.models import get_model
 
@@ -244,7 +250,7 @@ def main(argv: list[str] | None = None, prog: str = "repro.analysis") -> int:
             return 2
         return _finish(report, args.json)
 
-    paths = [Path(p) for p in args.paths] or [Path(repro.__file__).parent]
+    paths = [Path(p) for p in args.paths] or [PACKAGE_DIR]
     missing = [p for p in paths if not p.exists()]
     if missing:
         for p in missing:

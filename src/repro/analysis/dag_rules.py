@@ -12,7 +12,8 @@ trusting the builder:
 * ``AD103`` — acyclicity (Kahn toposort over the pred side alone);
 * ``AD104`` — every edge carries the same positive payload on both sides;
 * ``AD105`` — batch sub-DAG isomorphism (every sample replicates sample 0);
-* ``AD106`` — each layer's tile grid covers its output exactly.
+* ``AD106`` — each layer's atoms (``atom_bounds``) cover its output
+  exactly.
 """
 
 from __future__ import annotations
@@ -58,7 +59,7 @@ register_rule(
     "AD106",
     Severity.ERROR,
     "artifact",
-    "each layer's tile grid must cover its output shape exactly",
+    "each partitioned layer's atoms must cover its output shape exactly",
 )
 
 #: Per-atom columns besides ``atom_layer``, which sets the atom count.
@@ -319,12 +320,19 @@ def _check_batch_isomorphism(
 
 
 def _check_coverage(dag: AtomicDAG, report: Report) -> None:
-    for layer, grid in dag.grids.items():
-        covered = sum(r.num_elements for r in grid.regions())
-        if covered != grid.shape.num_elements:
+    # Sample 0's ``atom_bounds`` (inclusive) volumes, summed per layer.
+    sample0 = dag.atom_sample == 0
+    bounds = dag.atom_bounds[sample0]
+    volumes = np.prod(bounds[:, 1::2] - bounds[:, ::2] + 1, axis=1, dtype=np.int64)
+    covered = np.bincount(
+        dag.atom_layer[sample0], weights=volumes, minlength=len(dag.graph)
+    )
+    for layer in dag.grids:
+        expected = dag.graph.node(layer).output_shape.num_elements
+        if covered[layer] != expected:
             report.emit(
                 "AD106",
                 f"layer {layer}",
-                f"tiles cover {covered} of {grid.shape.num_elements} "
+                f"tiles cover {int(covered[layer])} of {expected} "
                 "output elements",
             )

@@ -218,3 +218,14 @@ class ArtifactValidationError(ValueError):
     def __init__(self, report: Report) -> None:
         self.report = report
         super().__init__(report.render())
+
+
+def assert_valid(report: Report) -> Report:
+    """Raise when a report carries errors; return it otherwise.
+
+    Raises:
+        ArtifactValidationError: When ``report.ok`` is false.
+    """
+    if not report.ok:
+        raise ArtifactValidationError(report)
+    return report

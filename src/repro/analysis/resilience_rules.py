@@ -127,7 +127,7 @@ def check_checkpoint_journal(
     any particular search (that is resume-time behaviour); this verifies
     the file is a journal whose records agree with themselves.
     """
-    from repro.pipeline import CandidateTrace
+    from repro.pipeline import CandidateTrace  # kept off --list-rules
 
     report = report if report is not None else Report()
     path = Path(path)

@@ -6,9 +6,9 @@ rule's violation into a corrupted copy of the shared :class:`Artifacts`
 (or, for the lint rules, into a one-rule module) and returns the report
 of the checker that guards it, which must fire exactly ``{rule}``.
 
-The AD101-AD105 rows seed :data:`DAG_CORRUPTIONS` onto the winner's
-CSR arrays; the property tests seed the same corruptions onto generated
-DAGs.
+The AD101-AD106 rows seed :data:`DAG_CORRUPTIONS` onto the winner's
+CSR arrays and per-atom columns; the property tests seed the same
+corruptions onto generated DAGs.
 
 The artifacts are built once per process (:func:`shared_artifacts`): a
 ``vgg19_bench`` search on a 4x4 mesh with its checkpoint journal and
@@ -32,17 +32,16 @@ import tempfile
 import textwrap
 from dataclasses import dataclass, replace
 from pathlib import Path
-from types import SimpleNamespace
 from typing import Callable, NamedTuple
 
 import numpy as np
 
-import repro
-from repro.analysis.artifacts import validate_artifacts, validate_outcome
+from repro.analysis.artifacts import validate_artifacts
 from repro.analysis.buffer_rules import check_buffering
 from repro.analysis.dag_rules import check_dag
 from repro.analysis.diagnostics import Report
 from repro.analysis.lint import lint_paths, lint_source
+from repro.analysis.outcome import validate_outcome
 from repro.analysis.resilience_rules import (
     check_checkpoint_journal,
     check_resilience_traces,
@@ -87,7 +86,7 @@ from repro.service.jobs import JobJournal, JobRecord
 from repro.service.store import SolutionStore
 from repro.sim import SimTimeline, simulate_timeline
 
-_PACKAGE = Path(repro.__file__).parent
+_PACKAGE = Path(__file__).parent.parent  # the repro package
 _TRACE_ID = "tr-selfcheck01"
 _LEASE_1 = {"runner_id": "runner-1", "lease_seq": 1, "attempt": 1}
 _LEASE_2 = {"runner_id": "runner-2", "lease_seq": 2, "attempt": 2}
@@ -317,6 +316,16 @@ def _unequal_payload(dag: AtomicDAG) -> AtomicDAG:
 #: DAG rule -> a corruption of any clean DAG with an edge that fires
 #: exactly that rule.  The arrays are the only edge representation, so
 #: every corruption lands on them.
+def _emptied_last_tile(dag: AtomicDAG) -> AtomicDAG:
+    """The first layer's last tile covers nothing, in every sample."""
+    layer = dag.atom_layer[0]
+    in_layer = dag.atom_layer == layer
+    rows = in_layer & (dag.atom_tile == dag.atom_tile[in_layer].max())
+    bounds = dag.atom_bounds.copy()
+    bounds[rows, 1] = bounds[rows, 0] - 1  # h1 < h0: zero rows
+    return replace(dag, atom_bounds=bounds)
+
+
 DAG_CORRUPTIONS: dict[str, tuple[str, Callable[[AtomicDAG], AtomicDAG]]] = {
     "AD101": ("pred_ptr one entry longer than the atoms", _longer_pred_ptr),
     "AD102": ("succ edge without its pred", _succ_only_edge),
@@ -324,14 +333,8 @@ DAG_CORRUPTIONS: dict[str, tuple[str, Callable[[AtomicDAG], AtomicDAG]]] = {
     "AD104": ("succ side carries a different payload", _unequal_payload),
     "AD105": ("batch claims one more sample than it replicates",
               lambda dag: replace(dag, batch=dag.batch + 1)),
+    "AD106": ("first layer's last tile covers nothing", _emptied_last_tile),
 }
-
-
-def _uncovered(a: Artifacts) -> Report:
-    """One layer's grid loses its last tile."""
-    layer, grid = next(iter(a.dag.grids.items()))
-    short = SimpleNamespace(shape=grid.shape, regions=lambda: grid.regions()[:-1])
-    return check_dag(replace(a.dag, grids={**a.dag.grids, layer: short}))
 
 
 def _swapped(a: Artifacts) -> Report:
@@ -529,7 +532,6 @@ CASES: tuple[Case, ...] = (
         Case(rule, label, lambda a, corrupt=corrupt: check_dag(corrupt(a.dag)))
         for rule, (label, corrupt) in DAG_CORRUPTIONS.items()
     ),
-    Case("AD106", "tile grid missing its last tile", _uncovered),
     Case("AD201", "schedule without its last Round", lambda a: _validate(
         a, Schedule(rounds=a.schedule.rounds[:-1]))),
     Case("AD202", "empty trailing Round", lambda a: _validate(a, Schedule(

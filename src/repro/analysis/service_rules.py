@@ -35,8 +35,9 @@ leases, and retry-cap accounting; the observability plane adds two more:
   fall inside the root's.
 
 All imports of :mod:`repro.service` are deferred into the check
-functions: this module registers rules at :mod:`repro.analysis` import
-time and must not drag the service (and its executor machinery) along.
+functions, so ``--list-rules`` (which imports every checker through
+:mod:`repro.analysis.catalog` to register its rules) does not load the
+service and the optimizer behind it.
 """
 
 from __future__ import annotations

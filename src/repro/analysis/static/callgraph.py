@@ -243,14 +243,6 @@ class CallGraph:
     edges: dict[str, set[str]]
     by_module: dict[str, list[FunctionInfo]]
 
-    def resolve_local(self, module: str, name: str) -> str | None:
-        """Qualname of ``name`` as a module-level function of ``module``."""
-        qual = f"{module}.{name}"
-        info = self.functions.get(qual)
-        if info is not None and info.class_name is None:
-            return qual
-        return None
-
     def reachable_from(self, roots: set[str]) -> set[str]:
         """BFS closure of qualnames reachable through resolved edges."""
         seen = {r for r in roots if r in self.functions}

@@ -66,7 +66,7 @@ def check_search_trace(
     Returns:
         The report with any findings added.
     """
-    from repro.pipeline import tiling_fingerprint
+    from repro.pipeline import tiling_fingerprint  # kept off --list-rules
 
     report = report if report is not None else Report()
     traces = list(traces)

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 from collections.abc import Sequence
 
-from repro.engine.batch import CostArrays, EngineCost
+from repro.engine.batch import EngineCost
 
 
 class AtomCostTable(Sequence):
@@ -104,15 +104,3 @@ class AtomCostTable(Sequence):
         self.ifmap_bytes.extend(ifmap_bytes)
         self.weight_bytes.extend(weight_bytes)
         self.ofmap_bytes.extend(ofmap_bytes)
-
-    def extend_arrays(self, arrays: CostArrays) -> None:
-        """Append a :class:`CostArrays` batch (converted to Python scalars)."""
-        self.extend_columns(
-            arrays.cycles.tolist(),
-            arrays.macs.tolist(),
-            arrays.pe_utilization.tolist(),
-            arrays.uses_pe_array,
-            arrays.ifmap_bytes.tolist(),
-            arrays.weight_bytes.tolist(),
-            arrays.ofmap_bytes.tolist(),
-        )

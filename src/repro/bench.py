@@ -68,7 +68,8 @@ from repro.obs import (
     reset_registry,
     trace_to_chrome,
 )
-from repro.serialize import canonical_solution_bytes, solution_to_dict
+from repro.fingerprint import canonical_solution_bytes
+from repro.serialize import solution_to_dict
 from repro.service import (
     CompileRequest,
     MetricsHTTPServer,

@@ -33,38 +33,14 @@ from __future__ import annotations
 import argparse
 import sys
 from pathlib import Path
+from typing import TYPE_CHECKING
 
-from repro.atoms.generation import SAParams
-from repro.baselines import (
-    ideal_result,
-    run_cnn_partition,
-    run_il_pipe,
-    run_layer_sequential,
-    run_rammer,
-)
-from repro.config import ArchConfig
-from repro.framework import AtomicDataflowOptimizer, OptimizerOptions
+from repro.config import ArchConfig, EngineConfig, parse_mesh
 from repro.models import available_models, characterize, get_model
 from repro.obs import configure_logging
-from repro.resilience import CheckpointError
-from repro.report import (
-    comparison_table,
-    render_gantt,
-    search_trace_table,
-    summarize_schedule,
-)
-from repro.serialize import save_search_trace, save_solution
 
-
-def parse_mesh(spec: str) -> tuple[int, int]:
-    """An ``RxC`` engine-grid option value as ``(rows, cols)``."""
-    try:
-        rows, cols = spec.lower().split("x")
-        return int(rows), int(cols)
-    except ValueError:
-        raise argparse.ArgumentTypeError(
-            f"mesh must look like 4x4, got {spec!r}"
-        ) from None
+if TYPE_CHECKING:
+    from repro.framework import OptimizerOptions
 
 
 def _arch_from_args(args: argparse.Namespace) -> ArchConfig:
@@ -127,6 +103,9 @@ def _options_from_args(
         ValueError: On an inconsistent flag combination (e.g. both
             ``--restarts`` and ``--rungs``); commands print it and exit 2.
     """
+    from repro.atoms.generation import SAParams
+    from repro.framework import OptimizerOptions
+
     return OptimizerOptions(
         dataflow=args.dataflow,
         batch=args.batch,
@@ -190,6 +169,11 @@ def _run_optimize(
     graph,
     options: OptimizerOptions,
 ) -> int:
+    from repro.framework import AtomicDataflowOptimizer
+    from repro.report import render_gantt, search_trace_table, summarize_schedule
+    from repro.resilience.checkpoint import CheckpointError
+    from repro.serialize import save_search_trace, save_solution
+
     try:
         outcome = AtomicDataflowOptimizer(graph, arch, options).optimize()
     except CheckpointError as exc:
@@ -319,6 +303,16 @@ def _export_profile(
 
 
 def _cmd_compare(args: argparse.Namespace) -> int:
+    from repro.baselines import (
+        ideal_result,
+        run_cnn_partition,
+        run_il_pipe,
+        run_layer_sequential,
+        run_rammer,
+    )
+    from repro.framework import AtomicDataflowOptimizer
+    from repro.report import comparison_table
+
     arch = _arch_from_args(args)
     graph = get_model(args.model)
     try:
@@ -339,7 +333,7 @@ def _cmd_compare(args: argparse.Namespace) -> int:
 
 
 def _cmd_dse(args: argparse.Namespace) -> int:
-    from repro.config import EngineConfig
+    from repro.framework import AtomicDataflowOptimizer
 
     graph = get_model(args.model)
     try:
@@ -382,7 +376,7 @@ def _cmd_dse(args: argparse.Namespace) -> int:
 def _cmd_profile(args: argparse.Namespace) -> int:
     arch = _arch_from_args(args)
     graph = get_model(args.model)
-    from repro.analysis import check_timeline
+    from repro.analysis.timeline_rules import check_timeline
     from repro.serialize import load_solution
     from repro.sim import simulate_timeline
 
@@ -582,8 +576,7 @@ def _cmd_jobs(args: argparse.Namespace) -> int:
     """List jobs / print stats / cancel on a running daemon."""
     import json as _json
 
-    from repro.service import ServeClient, ServiceError
-    from repro.service.daemon import LATENCY_PREFIX
+    from repro.service.client import LATENCY_PREFIX, ServeClient, ServiceError
 
     try:
         client = ServeClient(args.socket)

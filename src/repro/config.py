@@ -223,6 +223,20 @@ class ArchConfig:
         return replace(self, mesh_rows=mesh_rows, mesh_cols=mesh_cols, engine=engine)
 
 
+def parse_mesh(spec: str) -> tuple[int, int]:
+    """An ``RxC`` engine-grid spec (``"4x4"``) as ``(rows, cols)`` — the
+    ``type=`` of every ``--mesh`` option."""
+    try:
+        rows, cols = spec.lower().split("x")
+        return int(rows), int(cols)
+    except ValueError:
+        from argparse import ArgumentTypeError
+
+        raise ArgumentTypeError(
+            f"mesh must look like 4x4, got {spec!r}"
+        ) from None
+
+
 #: The paper's default evaluation platform (Sec. V-A).
 DEFAULT_ARCH = ArchConfig()
 

@@ -75,10 +75,6 @@ class EngineCost:
     weight_bytes: int
     ofmap_bytes: int
 
-    @property
-    def total_input_bytes(self) -> int:
-        return self.ifmap_bytes + self.weight_bytes
-
 
 @dataclass(frozen=True)
 class LayerStatics:

@@ -22,9 +22,10 @@ Fingerprint grammar (see DESIGN.md §15):
   *what* it decides, per the determinism contract (``jobs=1`` and
   ``jobs=N`` are bit-identical).
 
-This module is a leaf: it imports only the IR and config layers, so the
-serializer, the pipeline's context cache, and the service can all use it
-without import cycles.
+The solution document's format tag and its canonical byte form
+(:func:`canonical_solution_bytes`, the store's content) live here too,
+so the store's read path checks a document without loading the
+serializer.  This module imports only the IR and config layers.
 """
 
 from __future__ import annotations
@@ -48,6 +49,11 @@ from repro.ir.graph import Graph
 #: v2: options grew the parallel-tempering knobs (``rungs``,
 #: ``exchange_every``, ``portfolio``) and ``sa_params.schedule``.
 FINGERPRINT_VERSION = 2
+
+#: Format tag and version of a solution document
+#: (:func:`repro.serialize.solution_to_dict`).
+SOLUTION_FORMAT = "atomic-dataflow-solution"
+SOLUTION_VERSION = 1
 
 #: ``OptimizerOptions`` fields that change how a search *executes* but
 #: never what it *decides* — excluded from the request fingerprint.
@@ -78,6 +84,19 @@ def canonical_json(doc: Any) -> str:
     return json.dumps(
         doc, sort_keys=True, separators=(",", ":"), allow_nan=False
     )
+
+
+def canonical_solution_bytes(doc: Mapping[str, Any]) -> bytes:
+    """The byte-exact form of a solution document in the service store.
+
+    Drops the non-deterministic ``search`` section and serializes with
+    :func:`canonical_json`, so equal solutions are byte-equal — the
+    property behind the cache-hit contract ("a hit returns the
+    byte-identical document") and the AD801 store-integrity check.
+    """
+    return canonical_json(
+        {k: v for k, v in doc.items() if k != "search"}
+    ).encode()
 
 
 def _digest(doc: Any) -> str:
@@ -225,10 +244,13 @@ def request_fingerprint(
 __all__ = [
     "EXECUTION_KEYS",
     "FINGERPRINT_VERSION",
+    "SOLUTION_FORMAT",
+    "SOLUTION_VERSION",
     "arch_fingerprint",
     "arch_from_dict",
     "arch_to_dict",
     "canonical_json",
+    "canonical_solution_bytes",
     "graph_fingerprint",
     "graph_to_dict",
     "op_to_dict",

@@ -26,6 +26,7 @@ from typing import Any, Mapping
 from repro.atoms.dag import AtomicDAG
 from repro.atoms.generation import SAParams
 from repro.config import ArchConfig
+from repro.fingerprint import request_fingerprint
 from repro.ir.graph import Graph
 from repro.metrics import RunResult, SearchStats
 from repro.pipeline import (
@@ -121,7 +122,8 @@ class OptimizerOptions:
             completed candidate; None (default) disables checkpointing.
         resume: Load completed candidates from ``checkpoint`` instead of
             re-evaluating them.  Requires ``checkpoint``; the journal key
-            (workload + architecture + every search knob) must match.
+            (the request fingerprint: graph, architecture and every
+            option that decides) must match.
         faults: Deterministic fault-injection plan
             (:class:`~repro.resilience.FaultPlan`) — the chaos tests
             only, never production searches.
@@ -294,9 +296,9 @@ class AtomicDataflowOptimizer:
             of building one; must have been created from the same
             ``(graph, arch, dataflow, batch)``.
         executor: Warm executor (from
-            :func:`~repro.pipeline.make_search_executor`, initialized
-            with ``context``) the search runs on instead of spawning a
-            private pool; the caller owns its shutdown.
+            :func:`~repro.resilience.executor.make_search_executor`,
+            initialized with ``context``) the search runs on instead of
+            spawning a private pool; the caller owns its shutdown.
     """
 
     def __init__(
@@ -389,33 +391,18 @@ class AtomicDataflowOptimizer:
         )
 
     def _checkpoint_key(self) -> dict:
-        """Everything that determines the candidate set and its results.
+        """The request fingerprint of this search, as the journal key.
 
         A checkpoint journal is only resumable into a search whose key is
-        identical — same workload, same architecture, same search knobs —
-        so restored candidates are guaranteed to be the ones this search
-        would have produced.
+        identical — same graph, same architecture, same options up to
+        :data:`~repro.fingerprint.EXECUTION_KEYS` — so restored
+        candidates are guaranteed to be the ones this search would have
+        produced.
         """
-        o = self.options
-        arch = self.arch
         return {
-            "workload": self.graph.name,
-            "batch": o.batch,
-            "dataflow": o.dataflow,
-            "mesh": [arch.mesh_rows, arch.mesh_cols, arch.noc.topology],
-            "num_engines": arch.num_engines,
-            "seed": o.seed,
-            "restarts": o.restarts,
-            "rungs": o.rungs,
-            "exchange_every": o.exchange_every,
-            "portfolio": o.portfolio,
-            "atom_generation": o.atom_generation,
-            "scheduler": o.scheduler,
-            "mapping": o.mapping,
-            "lookahead": o.lookahead,
-            "sa_iterations": o.sa_params.max_iterations,
-            "sa_schedule": o.sa_params.schedule,
-            "dedup": o.dedup,
+            "request": request_fingerprint(
+                self.context.graph, self.arch, self.options
+            )
         }
 
     @staticmethod

@@ -29,10 +29,7 @@ import io
 import json
 import os
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Any, Callable, Mapping
-
-if TYPE_CHECKING:  # faults imports the resilience package, which imports us
-    from repro.resilience.faults import ServiceFaultPlan
+from typing import Any, Callable, Mapping
 
 
 @dataclass(frozen=True)
@@ -76,12 +73,10 @@ class Journal:
             (``"job journal"`` → ``"...: not open"``, ``"corrupt job
             journal"``).
         error: The owner's error type, raised when a file is refused.
-        faults: Optional service chaos plan.  Every :meth:`append` is
-            one arrival at the ``fault`` kind (``torn-journal``,
-            ``torn-events``); an armed one writes only a prefix of the
-            line, closes the journal — a process that died
-            mid-``fsync`` — and raises
-            :class:`~repro.resilience.faults.InjectedRunnerDeath`.
+        tear: Optional fault hook, called before every :meth:`append`.
+            When it returns an exception, the append writes only a
+            prefix of the line, closes the journal — a process that
+            died mid-``fsync`` — and raises that exception.
     """
 
     def __init__(
@@ -89,14 +84,12 @@ class Journal:
         path: str | os.PathLike,
         noun: str,
         error: type[Exception],
-        faults: ServiceFaultPlan | None = None,
-        fault: str = "",
+        tear: Callable[[], BaseException | None] | None = None,
     ) -> None:
         self.path = os.fspath(path)
         self.noun = noun
         self.error = error
-        self.faults = faults
-        self.fault = fault
+        self.tear = tear
         self._fh: io.TextIOBase | None = None
 
     @property
@@ -164,15 +157,14 @@ class Journal:
         if self._fh is None:
             raise RuntimeError(f"{self.noun} is not open")
         line = json.dumps(obj, sort_keys=True)
-        if self.faults is not None and self.faults.take(self.fault) is not None:
-            from repro.resilience.faults import InjectedRunnerDeath
-
+        death = self.tear() if self.tear is not None else None
+        if death is not None:
             fh, self._fh = self._fh, None  # the journal dies with the write
             fh.write(line[: max(1, len(line) // 2)])
             fh.flush()
             os.fsync(fh.fileno())
             fh.close()
-            raise InjectedRunnerDeath(f"injected {self.fault}: torn append to {self.path}")
+            raise death
         self._write(line + "\n")
 
     def _write(self, text: str) -> None:

@@ -92,14 +92,6 @@ class Mesh2D:
             order.extend(self.engine_at(r, c) for c in cols)
         return tuple(order)
 
-    def memory_port_engine(self) -> int:
-        """Engine adjacent to the off-chip memory controller (corner 0).
-
-        DRAM traffic is injected/drained through this corner; the extra NoC
-        distance to reach it is part of an off-chip access's cost.
-        """
-        return 0
-
     @lru_cache(maxsize=None)
     def _distance_row(self, src: int) -> tuple[int, ...]:
         return tuple(self.hop_distance(src, d) for d in range(self.num_engines))

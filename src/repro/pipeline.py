@@ -31,11 +31,13 @@ Process pools are pinned to the **spawn** start method
 default before Python 3.14 — would hand workers a silent copy-on-write
 snapshot of parent state (cost-model caches, open journal file
 descriptors) that spawn platforms (macOS, Windows) never see.  Spawned
-workers rebuild their state via ``_init_worker`` instead, so behaviour
+workers rebuild their state via
+:func:`~repro.resilience.executor.init_worker` instead, so behaviour
 is identical across platforms and worker state is exactly the pickled
 ``(ctx, profile)`` pair — nothing else.  Request-specific values
 (pipeline, strategy, faults) ride inside each task payload, which is
-what lets a warm pool (:func:`make_search_executor`) and a warm
+what lets a warm pool
+(:func:`~repro.resilience.executor.make_search_executor`) and a warm
 :class:`SearchContext` (:class:`ContextCache`) be reused across
 searches by the compile service without respawning or re-initializing
 anything.
@@ -47,7 +49,6 @@ anything.
 from __future__ import annotations
 
 import hashlib
-import threading
 import time
 from dataclasses import dataclass, field, replace
 from typing import Any, Sequence
@@ -63,7 +64,16 @@ from repro.atoms.generation import (
 )
 from repro.atoms.atom import TileSize
 from repro.resilience.checkpoint import CheckpointJournal
-from repro.resilience.executor import ResilientExecutor, RetryPolicy, TaskReport
+from repro.resilience.executor import (
+    WORKER_STATE,
+    ObsEnvelope,
+    ResilientExecutor,
+    RetryPolicy,
+    TaskReport,
+    make_search_executor,
+    unwrap_obs,
+    wrap_obs,
+)
 from repro.resilience.faults import FaultPlan
 from repro.search.tempering import SEGMENT_KIND, TemperingPlan, run_tempering
 from repro.atoms.partition import clamp_tile
@@ -80,14 +90,7 @@ from repro.noc.mesh import Mesh2D
 from repro.noc.torus import make_topology
 from repro.obs.log import get_logger
 from repro.obs.metrics import get_registry
-from repro.obs.tracer import (
-    SpanRecord,
-    absorb_observations,
-    drain_observations,
-    ensure_tracing,
-    get_tracer,
-    tracing_enabled,
-)
+from repro.obs.tracer import get_tracer, tracing_enabled
 from repro.scheduling.dp import (
     schedule_exact_dp,
     schedule_greedy,
@@ -398,10 +401,6 @@ class CandidateTrace:
             "mapping": self.mapping_seconds,
             "sim": self.sim_seconds,
         }
-
-    @property
-    def total_seconds(self) -> float:
-        return sum(self.stage_seconds.values())
 
     def to_dict(self) -> dict:
         """This trace as a JSON-serializable mapping."""
@@ -796,9 +795,9 @@ class CandidatePipeline:
         schedule: Schedule | None = None,
         placement: dict[int, int] | None = None,
     ) -> None:
-        # Imported lazily: repro.analysis depends on this module via the
-        # serializer, so a top-level import would be circular.
-        from repro.analysis import assert_valid, validate_artifacts
+        # Imported here: only validate=True searches load the checkers.
+        from repro.analysis.artifacts import validate_artifacts
+        from repro.analysis.diagnostics import assert_valid
 
         assert_valid(
             validate_artifacts(
@@ -813,7 +812,8 @@ class CandidatePipeline:
         schedule: Schedule,
         expected_cost: float,
     ) -> None:
-        from repro.analysis import assert_valid, check_schedule
+        from repro.analysis.diagnostics import assert_valid
+        from repro.analysis.schedule_rules import check_schedule
 
         assert_valid(
             check_schedule(
@@ -838,104 +838,6 @@ class CandidateSpec:
 
     label: str
     tiling_stage: TilingStage
-
-
-class _WorkerState(threading.local):
-    """Per-thread state for task functions, installed by :func:`_init_worker`.
-
-    Pool workers install it once per process (tasks run in the worker's
-    main thread).  The inline (jobs=1) path installs it in the *calling*
-    thread instead, so both paths execute the exact same task functions —
-    and because the daemon's runner pool drives concurrent inline
-    searches over different contexts in one process, the state must be
-    thread-local, not module-global, or runners would read each other's
-    context mid-search.
-    """
-
-    def __init__(self) -> None:
-        self._data: dict[str, Any] = {}
-
-    def __getitem__(self, key: str) -> Any:
-        return self._data[key]
-
-    def __setitem__(self, key: str, value: Any) -> None:
-        self._data[key] = value
-
-    def get(self, key: str, default: Any = None) -> Any:
-        return self._data.get(key, default)
-
-
-_WORKER_STATE = _WorkerState()
-
-
-def _init_worker(ctx: SearchContext, profile: bool = False) -> None:
-    """Install the per-process shared state: the search context alone.
-
-    Everything request-specific — pipeline, strategy label, fault plan —
-    rides inside each task payload instead, so a warm pool initialized
-    for one context serves any number of searches over it without
-    re-initialization (the service's warm-session path).
-    """
-    _WORKER_STATE["ctx"] = ctx
-    _WORKER_STATE["profile"] = profile
-    if profile:
-        # ensure (not enable): the inline jobs=1 path runs this in the
-        # parent, whose tracer already holds recorded spans.
-        ensure_tracing()
-
-
-def make_search_executor(
-    ctx: SearchContext,
-    jobs: int = 1,
-    policy: RetryPolicy | None = None,
-    profile: bool = False,
-) -> ResilientExecutor:
-    """A supervised executor whose worker state is exactly ``ctx``.
-
-    The executor outlives individual searches: pass it to
-    :class:`StagedSearch` as ``executor=`` and it is *not* shut down when
-    the search finishes, so the next request over the same context skips
-    pool spawn and context pickling entirely.  ``policy`` is only the
-    initial supervision policy — each search installs its own before
-    running.  The caller owns shutdown.
-    """
-    return ResilientExecutor(
-        jobs=jobs,
-        initializer=_init_worker,
-        initargs=(ctx, profile),
-        policy=policy or RetryPolicy(),
-    )
-
-
-@dataclass(frozen=True)
-class _ObsEnvelope:
-    """A task result carrying the worker's drained observations.
-
-    Spawned workers trace into their own process-local tracer/registry;
-    the observations ride home inside the task result and the parent
-    absorbs them before unwrapping (see :func:`_unwrap_obs`).  Only built
-    when profiling — unprofiled searches return bare values.
-    """
-
-    value: Any
-    spans: tuple[SpanRecord, ...]
-    metrics: dict
-
-
-def _wrap_obs(value: Any) -> Any:
-    """Attach this process's pending observations to a task result."""
-    if not _WORKER_STATE.get("profile"):
-        return value
-    spans, metrics = drain_observations()
-    return _ObsEnvelope(value, tuple(spans), metrics)
-
-
-def _unwrap_obs(value: Any) -> Any:
-    """Absorb an envelope's observations and return the bare value."""
-    if isinstance(value, _ObsEnvelope):
-        absorb_observations(value.spans, value.metrics)
-        return value.value
-    return value
 
 
 @dataclass(frozen=True)
@@ -972,7 +874,7 @@ def _run_evaluation(attempt: int, item: _EvalItem):
         task=f"eval[{item.spec_index}]", attempt=attempt,
     ):
         solution = item.pipeline.evaluate(
-            _WORKER_STATE["ctx"],
+            WORKER_STATE["ctx"],
             item.tiling,
             label=item.label,
             strategy=item.strategy,
@@ -993,7 +895,7 @@ def _run_evaluation(attempt: int, item: _EvalItem):
         solution = item.faults.tamper(
             "eval", item.spec_index, attempt, solution
         )
-    return _wrap_obs(solution)
+    return wrap_obs(solution)
 
 
 # ---------------------------------------------------------------------------
@@ -1182,8 +1084,8 @@ class StagedSearch:
         resume: Load completed candidates from ``journal`` instead of
             re-evaluating them (requires a matching journal key).
         executor: Warm executor to run on (from
-            :func:`make_search_executor`, initialized with the *same*
-            context).  The search installs its own ``retry`` policy but
+            :func:`~repro.resilience.executor.make_search_executor`,
+            initialized with the *same* context).  The search installs its own ``retry`` policy but
             does not shut the executor down — the owner keeps it alive
             across searches.  None (default) spawns a private executor
             per :meth:`run` call, exactly as before.
@@ -1416,7 +1318,7 @@ class StagedSearch:
             # Peek through the profiling envelope without absorbing it:
             # a failed check retries the task and discards the envelope.
             solution: CandidateSolution = (
-                value.value if isinstance(value, _ObsEnvelope) else value
+                value.value if isinstance(value, ObsEnvelope) else value
             )
             expected = eval_payloads[index].fingerprint
             if solution.trace.fingerprint != expected:
@@ -1427,7 +1329,7 @@ class StagedSearch:
             return None
 
         def on_success(report: TaskReport) -> None:
-            report.value = _unwrap_obs(report.value)
+            report.value = unwrap_obs(report.value)
             item = eval_payloads[report.index]
             total = attempts[item.spec_index] - 1 + report.attempts
             if total > 1:

@@ -41,6 +41,7 @@ and pool recycling change wall-clock behaviour, never results.
 
 from __future__ import annotations
 
+import threading
 import time
 from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
 from concurrent.futures.process import BrokenProcessPool
@@ -50,7 +51,13 @@ from typing import Any, Callable, Sequence
 
 from repro.obs.log import get_logger
 from repro.obs.metrics import get_registry
-from repro.obs.tracer import get_tracer
+from repro.obs.tracer import (
+    SpanRecord,
+    absorb_observations,
+    drain_observations,
+    ensure_tracing,
+    get_tracer,
+)
 
 #: The pinned start method: ``spawn`` behaves identically across
 #: Linux/macOS/Windows (fork would silently share parent state on Linux
@@ -441,3 +448,109 @@ class ResilientExecutor:
                 }
                 self._pool_broke(charges)
                 return
+
+
+# ---------------------------------------------------------------------------
+# Search workers: the per-process state every search task reads
+# ---------------------------------------------------------------------------
+
+
+class _WorkerState(threading.local):
+    """Per-thread state for task functions, installed by :func:`init_worker`.
+
+    Pool workers install it once per process (tasks run in the worker's
+    main thread).  The inline (jobs=1) path installs it in the *calling*
+    thread instead, so both paths execute the exact same task functions —
+    and because the daemon's runner pool drives concurrent inline
+    searches over different contexts in one process, the state must be
+    thread-local, not module-global, or runners would read each other's
+    context mid-search.
+    """
+
+    def __init__(self) -> None:
+        self._data: dict[str, Any] = {}
+
+    def __getitem__(self, key: str) -> Any:
+        return self._data[key]
+
+    def __setitem__(self, key: str, value: Any) -> None:
+        self._data[key] = value
+
+    def get(self, key: str, default: Any = None) -> Any:
+        return self._data.get(key, default)
+
+
+#: The search context (``"ctx"``) and profiling flag (``"profile"``)
+#: of the worker — or inline caller — running a search task.
+WORKER_STATE = _WorkerState()
+
+
+def init_worker(ctx: Any, profile: bool = False) -> None:
+    """Install the per-process shared state: the search context alone.
+
+    ``ctx`` is a :class:`~repro.pipeline.SearchContext`.  Everything
+    request-specific — pipeline, strategy label, fault plan — rides
+    inside each task payload instead, so a warm pool initialized for one
+    context serves any number of searches over it without
+    re-initialization (the service's warm-session path).
+    """
+    WORKER_STATE["ctx"] = ctx
+    WORKER_STATE["profile"] = profile
+    if profile:
+        # ensure (not enable): the inline jobs=1 path runs this in the
+        # parent, whose tracer already holds recorded spans.
+        ensure_tracing()
+
+
+def make_search_executor(
+    ctx: Any,
+    jobs: int = 1,
+    policy: RetryPolicy | None = None,
+    profile: bool = False,
+) -> ResilientExecutor:
+    """A supervised executor whose worker state is exactly ``ctx``.
+
+    The executor outlives individual searches: pass it to
+    :class:`~repro.pipeline.StagedSearch` as ``executor=`` and it is
+    *not* shut down when the search finishes, so the next request over
+    the same context skips pool spawn and context pickling entirely.
+    ``policy`` is only the initial supervision policy — each search
+    installs its own before running.  The caller owns shutdown.
+    """
+    return ResilientExecutor(
+        jobs=jobs,
+        initializer=init_worker,
+        initargs=(ctx, profile),
+        policy=policy or RetryPolicy(),
+    )
+
+
+@dataclass(frozen=True)
+class ObsEnvelope:
+    """A task result carrying the worker's drained observations.
+
+    Spawned workers trace into their own process-local tracer/registry;
+    the observations ride home inside the task result and the parent
+    absorbs them before unwrapping (see :func:`unwrap_obs`).  Only built
+    when profiling — unprofiled searches return bare values.
+    """
+
+    value: Any
+    spans: tuple[SpanRecord, ...]
+    metrics: dict
+
+
+def wrap_obs(value: Any) -> Any:
+    """Attach this process's pending observations to a task result."""
+    if not WORKER_STATE.get("profile"):
+        return value
+    spans, metrics = drain_observations()
+    return ObsEnvelope(value, tuple(spans), metrics)
+
+
+def unwrap_obs(value: Any) -> Any:
+    """Absorb an envelope's observations and return the bare value."""
+    if isinstance(value, ObsEnvelope):
+        absorb_observations(value.spans, value.metrics)
+        return value.value
+    return value

@@ -317,6 +317,14 @@ class ServiceFaultPlan:
                     self._fired[i] += 1
             return fired
 
+    def torn_append(self, kind: str, path: str) -> InjectedRunnerDeath | None:
+        """One arrival at a torn-write point (``torn-journal``,
+        ``torn-events``), as a :class:`~repro.journal.Journal` ``tear``
+        hook: the death the torn append raises if it fires, else None."""
+        if self.take(kind) is None:
+            return None
+        return InjectedRunnerDeath(f"injected {kind}: torn append to {path}")
+
     def fired_count(self, kind: str | None = None) -> int:
         """How many faults have fired (of one kind, or in total)."""
         with self._lock:

@@ -67,7 +67,14 @@ from repro.obs.log import get_logger
 from repro.obs.metrics import get_registry
 from repro.obs.tracer import get_tracer
 from repro.resilience.checkpoint import CheckpointJournal
-from repro.resilience.executor import ResilientExecutor, TaskReport
+from repro.resilience.executor import (
+    WORKER_STATE,
+    ObsEnvelope,
+    ResilientExecutor,
+    TaskReport,
+    unwrap_obs,
+    wrap_obs,
+)
 from repro.resilience.faults import FaultPlan
 
 _log = get_logger(__name__)
@@ -280,9 +287,7 @@ class _SegmentOutcome:
 
 def _run_segment(attempt: int, item: _SegmentItem):
     """Task: advance one chain by one segment (init on segment 0)."""
-    from repro.pipeline import _WORKER_STATE, _wrap_obs
-
-    ctx = _WORKER_STATE["ctx"]
+    ctx = WORKER_STATE["ctx"]
     if item.faults is not None:
         item.faults.fire("tiling", item.rung, attempt)
     t0 = time.perf_counter()
@@ -311,7 +316,7 @@ def _run_segment(attempt: int, item: _SegmentItem):
             state, result = None, generator.rung_result(rung_state)
         else:
             state, result = rung_state.to_dict(), None
-    return _wrap_obs(
+    return wrap_obs(
         _SegmentOutcome(
             rung=item.rung,
             segment=item.segment,
@@ -326,9 +331,7 @@ def _verify_segment(
     payloads: list[_SegmentItem], index: int, value: Any
 ) -> str | None:
     """The executor's integrity check of one chain-segment result."""
-    from repro.pipeline import _ObsEnvelope
-
-    outcome = value.value if isinstance(value, _ObsEnvelope) else value
+    outcome = value.value if isinstance(value, ObsEnvelope) else value
     if not isinstance(outcome, _SegmentOutcome):
         return f"segment result has type {type(outcome).__name__}"
     item = payloads[index]
@@ -527,8 +530,6 @@ def run_tempering(
             )
             registry.counter("search.pt.segments_restored").inc(start_segment)
 
-    from repro.pipeline import _unwrap_obs
-
     results: list[GenerationResult | None] = [None] * rungs
     failures: list[TaskReport | None] = [None] * rungs
     for segment in range(start_segment, n_segments):
@@ -562,7 +563,7 @@ def run_tempering(
             if not report.ok:
                 failures[k] = replace(report, index=k, attempts=attempts[k])
                 continue
-            outcome = _unwrap_obs(report.value)
+            outcome = unwrap_obs(report.value)
             seconds[k] += outcome.seconds
             if final:
                 results[k] = outcome.result

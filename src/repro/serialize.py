@@ -11,43 +11,28 @@ freshly built graph on load.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from pathlib import Path
+from typing import TYPE_CHECKING, Callable
 
 from repro.atoms.atom import TileSize
 from repro.atoms.dag import AtomicDAG, build_atomic_dag
 from repro.config import ArchConfig
 from repro.engine.cost_model import EngineCostModel
 from repro.engine.dataflow import get_dataflow
-
-# Canonical request fingerprints live in the leaf module
-# :mod:`repro.fingerprint` (the pipeline's context cache needs them
-# without importing the framework); re-exported here because this is
-# the serialization API surface.
-from repro.fingerprint import (  # noqa: F401  (re-exports)
-    EXECUTION_KEYS,
-    FINGERPRINT_VERSION,
-    arch_fingerprint,
-    arch_from_dict,
-    arch_to_dict,
-    canonical_json,
-    graph_fingerprint,
-    graph_to_dict,
-    request_fingerprint,
-    request_to_dict,
-)
-from repro.framework import OptimizationOutcome
+from repro.fingerprint import SOLUTION_FORMAT, SOLUTION_VERSION
 from repro.ir.graph import Graph
 from repro.ir.transforms import fuse_elementwise
 from repro.pipeline import CandidateTrace, bind_identities, identity_sections
 from repro.scheduling.rounds import Schedule
 
-#: Format identifier embedded in every solution document.
-FORMAT = "atomic-dataflow-solution"
-VERSION = 1
+if TYPE_CHECKING:
+    from repro.framework import OptimizationOutcome
 
-#: Format identifier of standalone search-trace documents (``--trace``).
+#: Format identifier and version of standalone search-trace documents
+#: (``--trace``).
 TRACE_FORMAT = "atomic-dataflow-search-trace"
+TRACE_VERSION = 1
 
 
 @dataclass(frozen=True)
@@ -73,25 +58,6 @@ class SolutionDocument:
     search_seconds: float = 0.0
 
 
-def trace_to_dict(trace: CandidateTrace) -> dict:
-    """Convert one candidate trace to a JSON-serializable mapping.
-
-    Thin wrapper over :meth:`~repro.pipeline.CandidateTrace.to_dict`
-    (where the schema lives, shared with the checkpoint journal); kept as
-    a module function for API compatibility.
-    """
-    return trace.to_dict()
-
-
-def trace_from_dict(doc: dict) -> CandidateTrace:
-    """Rebuild a candidate trace from :func:`trace_to_dict` output.
-
-    Raises:
-        ValueError: On a malformed trace mapping.
-    """
-    return CandidateTrace.from_dict(doc)
-
-
 def solution_to_dict(
     outcome: OptimizationOutcome, dataflow: str, include_search: bool = True
 ) -> dict:
@@ -109,12 +75,12 @@ def solution_to_dict(
             traces.  The section is *non-deterministic* (timings), so
             the service's content-addressed store writes canonical
             documents with ``include_search=False`` — see
-            :func:`canonical_solution_bytes`.
+            :func:`repro.fingerprint.canonical_solution_bytes`.
     """
     dag = outcome.dag
     doc = {
-        "format": FORMAT,
-        "version": VERSION,
+        "format": SOLUTION_FORMAT,
+        "version": SOLUTION_VERSION,
         "workload": dag.graph.name,
         "dataflow": dataflow,
         "batch": dag.batch,
@@ -128,22 +94,9 @@ def solution_to_dict(
     if include_search and outcome.traces:
         doc["search"] = {
             "search_seconds": outcome.search_seconds,
-            "traces": [trace_to_dict(t) for t in outcome.traces],
+            "traces": [t.to_dict() for t in outcome.traces],
         }
     return doc
-
-
-def canonical_solution_bytes(doc: dict) -> bytes:
-    """The byte-exact form of a solution document in the service store.
-
-    Drops the non-deterministic ``search`` section and serializes with
-    :func:`canonical_json`, so equal solutions are byte-equal — the
-    property behind the cache-hit contract ("a hit returns the
-    byte-identical document") and the AD801 store-integrity check.
-    """
-    return canonical_json(
-        {k: v for k, v in doc.items() if k != "search"}
-    ).encode()
 
 
 def save_solution(
@@ -154,14 +107,79 @@ def save_solution(
         json.dump(solution_to_dict(outcome, dataflow), f, indent=2)
 
 
+def read_solution(path: str | Path) -> dict:
+    """The solution document at ``path``, parsed.
+
+    Raises:
+        ValueError: When the file is not a solution document of a
+            supported version.
+    """
+    with open(path) as f:
+        doc = json.load(f)
+    if doc.get("format") != SOLUTION_FORMAT:
+        raise ValueError(f"not a solution document: {path}")
+    if doc.get("version") != SOLUTION_VERSION:
+        raise ValueError(f"unsupported solution version {doc.get('version')}")
+    return doc
+
+
+def decode_solution(
+    doc: dict,
+    graph: Graph,
+    arch: ArchConfig,
+    problem: Callable[[str, str], object],
+) -> SolutionDocument | None:
+    """Re-bind a solution document to a freshly built graph.
+
+    The one decoder behind :func:`load_solution` and
+    :func:`repro.analysis.outcome.validate_solution_file`: the graph is
+    fused and re-partitioned with the document's tiling, and the
+    schedule and placement are resolved through stable atom identities.
+    Each problem goes to ``problem(where, message)``, which raises it or
+    records it; a workload mismatch ends decoding with None.  The
+    ``search`` section is left unread.
+    """
+    fused = fuse_elementwise(graph).graph
+    if fused.name != doc.get("workload"):
+        problem(
+            "document",
+            f"solution is for workload {doc.get('workload')!r}, "
+            f"got {fused.name!r}",
+        )
+        return None
+    tiling = {
+        int(layer): TileSize(*extents) for layer, extents in doc["tiling"].items()
+    }
+    cost_model = EngineCostModel(
+        arch.engine,
+        get_dataflow(doc["dataflow"]),
+        bytes_per_element=arch.bytes_per_element,
+    )
+    dag = build_atomic_dag(fused, tiling, cost_model, batch=doc["batch"])
+    schedule, placement, unresolved = bind_identities(dag, doc)
+    for where, atom_id in unresolved:
+        problem(where, f"unknown atom identity {atom_id!r}")
+    return SolutionDocument(
+        dag=dag,
+        schedule=schedule,
+        placement=placement,
+        dataflow=doc["dataflow"],
+        batch=doc["batch"],
+    )
+
+
+def _refuse(where: str, message: str) -> None:
+    raise ValueError(f"{where}: {message}")
+
+
 def load_solution(
     path: str | Path, graph: Graph, arch: ArchConfig
 ) -> SolutionDocument:
     """Load a solution and re-bind it to a freshly built graph.
 
-    The graph is fused and re-partitioned with the document's tiling; the
-    schedule and placement are resolved through stable atom identities and
-    validated against the rebuilt DAG.
+    :func:`decode_solution` over :func:`read_solution`, raising on the
+    first problem; the schedule is then validated against the rebuilt
+    DAG.
 
     Args:
         path: JSON file written by :func:`save_solution`.
@@ -175,41 +193,16 @@ def load_solution(
         ValueError: On format mismatches, workload-name mismatches, or a
             schedule that fails validation against the rebuilt DAG.
     """
-    with open(path) as f:
-        doc = json.load(f)
-    if doc.get("format") != FORMAT:
-        raise ValueError(f"not a solution document: {path}")
-    if doc.get("version") != VERSION:
-        raise ValueError(f"unsupported solution version {doc.get('version')}")
-
-    fused = fuse_elementwise(graph).graph
-    if fused.name != doc["workload"]:
-        raise ValueError(
-            f"solution is for workload {doc['workload']!r}, got {fused.name!r}"
-        )
-    tiling = {
-        int(layer): TileSize(*extents) for layer, extents in doc["tiling"].items()
-    }
-    cost_model = EngineCostModel(
-        arch.engine,
-        get_dataflow(doc["dataflow"]),
-        bytes_per_element=arch.bytes_per_element,
-    )
-    dag = build_atomic_dag(fused, tiling, cost_model, batch=doc["batch"])
-
-    schedule, placement, unresolved = bind_identities(dag, doc)
-    if unresolved:
-        where, atom_id = unresolved[0]
-        raise ValueError(f"{where}: unknown atom identity {atom_id!r}")
-    schedule.validate(dag, arch.num_engines)
+    doc = read_solution(path)
+    solution = decode_solution(doc, graph, arch, _refuse)
+    assert solution is not None  # _refuse raised on a mismatch
+    solution.schedule.validate(solution.dag, arch.num_engines)
     search = doc.get("search", {})
-    return SolutionDocument(
-        dag=dag,
-        schedule=schedule,
-        placement=placement,
-        dataflow=doc["dataflow"],
-        batch=doc["batch"],
-        traces=tuple(trace_from_dict(t) for t in search.get("traces", [])),
+    return replace(
+        solution,
+        traces=tuple(
+            CandidateTrace.from_dict(t) for t in search.get("traces", [])
+        ),
         search_seconds=search.get("search_seconds", 0.0),
     )
 
@@ -225,10 +218,10 @@ def save_search_trace(
     """
     doc = {
         "format": TRACE_FORMAT,
-        "version": VERSION,
+        "version": TRACE_VERSION,
         "workload": workload or outcome.dag.graph.name,
         "search_seconds": outcome.search_seconds,
-        "traces": [trace_to_dict(t) for t in outcome.traces],
+        "traces": [t.to_dict() for t in outcome.traces],
     }
     with open(path, "w") as f:
         json.dump(doc, f, indent=2)
@@ -244,4 +237,4 @@ def load_search_trace(path: str | Path) -> tuple[CandidateTrace, ...]:
         doc = json.load(f)
     if doc.get("format") != TRACE_FORMAT:
         raise ValueError(f"not a search-trace document: {path}")
-    return tuple(trace_from_dict(t) for t in doc["traces"])
+    return tuple(CandidateTrace.from_dict(t) for t in doc["traces"])

@@ -31,44 +31,39 @@ Determinism contract: a served compile is bit-identical to the same
 ``repro optimize`` invocation — with any runner count, and across every
 recovery path (runner crash, stall reclaim, daemon kill/restart, drain)
 — and a cache hit returns the byte-exact stored solution document.
+
+The names below load their module on first use: the client and the
+offline store (``repro jobs``, ``repro cache``) never load the daemon
+or the optimizer.
 """
 
 from __future__ import annotations
 
-from repro.service.admission import AdmissionController, AdmissionError
-from repro.service.client import (
-    SUN_PATH_LIMIT,
-    ServeClient,
-    ServiceError,
-    socket_path_problem,
-)
-from repro.service.daemon import ReproService, serve
-from repro.service.events import EventLog, expected_events, read_events
-from repro.service.jobs import JobIdAllocator, JobJournal, JobRecord
-from repro.service.metrics_http import MetricsHTTPServer
-from repro.service.request import CompileRequest
-from repro.service.session import CompileSession, SessionManager
-from repro.service.store import SolutionStore, StoreEntry
+from repro import _lazy_exports
 
-__all__ = [
-    "AdmissionController",
-    "AdmissionError",
-    "CompileRequest",
-    "CompileSession",
-    "EventLog",
-    "JobIdAllocator",
-    "JobJournal",
-    "JobRecord",
-    "MetricsHTTPServer",
-    "ReproService",
-    "SUN_PATH_LIMIT",
-    "ServeClient",
-    "ServiceError",
-    "SessionManager",
-    "SolutionStore",
-    "StoreEntry",
-    "expected_events",
-    "read_events",
-    "serve",
-    "socket_path_problem",
-]
+#: Every public name and the module that defines it, loaded on first use.
+_EXPORTS = {
+    "AdmissionController": "repro.service.admission",
+    "AdmissionError": "repro.service.admission",
+    "CompileRequest": "repro.service.request",
+    "CompileSession": "repro.service.session",
+    "EventLog": "repro.service.events",
+    "JobIdAllocator": "repro.service.jobs",
+    "JobJournal": "repro.service.jobs",
+    "JobRecord": "repro.service.jobs",
+    "MetricsHTTPServer": "repro.service.metrics_http",
+    "ReproService": "repro.service.daemon",
+    "SUN_PATH_LIMIT": "repro.service.client",
+    "ServeClient": "repro.service.client",
+    "ServiceError": "repro.service.client",
+    "SessionManager": "repro.service.session",
+    "SolutionStore": "repro.service.store",
+    "StoreEntry": "repro.service.store",
+    "expected_events": "repro.service.events",
+    "read_events": "repro.service.events",
+    "serve": "repro.service.daemon",
+    "socket_path_problem": "repro.service.client",
+}
+
+__all__ = list(_EXPORTS)
+__getattr__ = _lazy_exports(__name__, _EXPORTS)

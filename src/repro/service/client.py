@@ -25,13 +25,20 @@ import json
 import os
 import socket
 import time
+from typing import TYPE_CHECKING
 
 from repro.resilience.timing import Deadline, backoff_for
-from repro.service.request import CompileRequest
+
+if TYPE_CHECKING:
+    from repro.service.request import CompileRequest
 
 #: Portable floor of the ``sockaddr_un.sun_path`` buffer (Linux allows
 #: 108 bytes, the BSDs 104; both counts include the NUL terminator).
 SUN_PATH_LIMIT = 104
+
+#: Histogram name prefix of the service SLO latencies (seconds) in a
+#: daemon's ``stats`` and ``health`` replies.
+LATENCY_PREFIX = "service.latency."
 
 #: Longest pause between two ``status`` polls in :meth:`ServeClient.wait`:
 #: a finished job is seen at most this late.
@@ -187,7 +194,7 @@ class ServeClient:
         a busy daemon.  ``draining`` is never retried: this daemon is
         going away.
         """
-        doc = request.to_dict() if isinstance(request, CompileRequest) else request
+        doc = request if isinstance(request, dict) else request.to_dict()
         deadline = Deadline(backpressure_timeout_s)
         attempt = 0
         while True:
@@ -268,6 +275,7 @@ class ServeClient:
 
 
 __all__ = [
+    "LATENCY_PREFIX",
     "SUN_PATH_LIMIT",
     "ServeClient",
     "ServiceError",

@@ -79,7 +79,7 @@ from repro.serialize import solution_to_dict
 # sees every submit's fingerprint.
 from repro.service import request as request_module
 from repro.service.admission import AdmissionController, AdmissionError
-from repro.service.client import socket_path_problem
+from repro.service.client import LATENCY_PREFIX, socket_path_problem
 from repro.service.events import TRACE_FORMAT, TRACE_VERSION, EventLog
 from repro.service.jobs import JobIdAllocator, JobJournal, JobRecord
 from repro.service.request import CompileRequest, FingerprintMemo
@@ -92,9 +92,6 @@ _log = get_logger(__name__)
 #: (``trace_id`` on every response, the ``trace`` op) and the service
 #: latency histograms surfaced by ``health``/``stats``.
 PROTOCOL_VERSION = 3
-
-#: Histogram name prefix of the service SLO latencies (seconds).
-LATENCY_PREFIX = "service.latency."
 
 
 @dataclass
@@ -1487,4 +1484,4 @@ def serve(
             os.unlink(socket_path)
 
 
-__all__ = ["LATENCY_PREFIX", "PROTOCOL_VERSION", "ReproService", "serve"]
+__all__ = ["PROTOCOL_VERSION", "ReproService", "serve"]

@@ -26,6 +26,7 @@ This module also pins the on-disk format of per-job trace documents
 from __future__ import annotations
 
 import os
+from functools import partial
 from typing import Any, Mapping
 
 from repro.journal import Journal, read_lines
@@ -92,7 +93,9 @@ class EventLog:
         self.header: dict[str, Any] = {}
         self._journal = Journal(
             self.path, "event log", EventLogError,
-            faults=faults, fault="torn-events",
+            tear=None if faults is None else partial(
+                faults.torn_append, "torn-events", self.path
+            ),
         )
         self._seq = 0
         self._events: list[dict[str, Any]] = []

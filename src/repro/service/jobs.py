@@ -27,6 +27,7 @@ from __future__ import annotations
 import os
 import threading
 from dataclasses import dataclass, field, replace
+from functools import partial
 from typing import Any, Mapping
 
 from repro.journal import Journal
@@ -245,7 +246,9 @@ class JobJournal:
         self.header: dict[str, Any] = {}
         self._journal = Journal(
             self.path, "job journal", JobJournalError,
-            faults=faults, fault="torn-journal",
+            tear=None if faults is None else partial(
+                faults.torn_append, "torn-journal", self.path
+            ),
         )
 
     @property

@@ -22,12 +22,8 @@ from repro.config import ArchConfig
 from repro.framework import AtomicDataflowOptimizer, OptimizationOutcome, OptimizerOptions
 from repro.ir.graph import Graph
 from repro.obs.metrics import get_registry
-from repro.pipeline import (
-    ContextCache,
-    SearchContext,
-    make_search_executor,
-)
-from repro.resilience.executor import ResilientExecutor
+from repro.pipeline import ContextCache, SearchContext
+from repro.resilience.executor import ResilientExecutor, make_search_executor
 
 
 class CompileSession:
@@ -114,8 +110,7 @@ class SessionManager:
     busy, acquire builds an *overflow* session for the same context —
     two runners searching the same workload overlap safely — and release
     either promotes it into the warm pool (if the slot freed up) or
-    closes it.  :meth:`get` remains for single-threaded callers and
-    hands out the warm session without busy-tracking.
+    closes it.
 
     Args:
         capacity: Live sessions kept warm (pools are the scarce
@@ -159,28 +154,6 @@ class SessionManager:
                 return  # every warm session is checked out; over-capacity is transient
             self._sessions.pop(oldest).close()
             registry.counter("session.evictions").inc()
-
-    def get(self, graph: Graph, arch: ArchConfig, options: OptimizerOptions) -> CompileSession:
-        """A warm session for the request, building one on miss.
-
-        No busy-tracking: single-threaded callers only.  Concurrent
-        runners must use :meth:`acquire` / :meth:`release`.
-        """
-        with self._lock:
-            if self._closed:
-                raise RuntimeError("session manager is closed")
-            registry = get_registry()
-            key = ContextCache.key_for(graph, arch, options.dataflow, options.batch)
-            session = self._sessions.pop(key, None)
-            if session is not None:
-                self._sessions[key] = session  # re-insert: most recently used
-                registry.counter("session.hits").inc()
-                return session
-            registry.counter("session.misses").inc()
-            session = self._build(graph, arch, options)
-            self._sessions[key] = session
-            self._evict_idle()
-            return session
 
     def acquire(
         self, graph: Graph, arch: ArchConfig, options: OptimizerOptions

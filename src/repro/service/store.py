@@ -6,7 +6,7 @@ Layout under the store root::
     objects/<fp>.json    # canonical solution bytes, keyed by request
                          # fingerprint
 
-Every entry is written through :func:`repro.serialize.canonical_solution_bytes`,
+Every entry is written through :func:`repro.fingerprint.canonical_solution_bytes`,
 so a cache hit returns the byte-identical document the original search
 produced.  Writes are Tier-A validated (the full artifact rule set
 against a rebuilt graph); reads are integrity-checked — the cheap half
@@ -32,10 +32,13 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Any
 
+from repro.fingerprint import (
+    SOLUTION_FORMAT,
+    SOLUTION_VERSION,
+    canonical_solution_bytes,
+)
 from repro.obs.log import get_logger
 from repro.obs.metrics import get_registry
-from repro.serialize import FORMAT as SOLUTION_FORMAT
-from repro.serialize import VERSION as SOLUTION_VERSION
 
 #: Format tag of ``index.json``; bump the version on layout changes.
 STORE_FORMAT = "atomic-dataflow-store-index"
@@ -262,8 +265,6 @@ class SolutionStore:
             repro.analysis.diagnostics.ArtifactValidationError: On a
                 document failing full validation.
         """
-        from repro.serialize import canonical_solution_bytes
-
         payload = canonical_solution_bytes(doc)
         problem = check_solution_document(json.loads(payload))
         if problem is not None:
@@ -280,7 +281,8 @@ class SolutionStore:
             if graph is not None and arch is not None:
                 # Full Tier-A validation: the document must re-bind to a
                 # freshly built graph and pass every artifact rule.
-                from repro.analysis import assert_valid, validate_solution_file
+                from repro.analysis.diagnostics import assert_valid
+                from repro.analysis.outcome import validate_solution_file
 
                 assert_valid(validate_solution_file(tmp, graph, arch))
         except BaseException:

@@ -78,11 +78,6 @@ class RoundWindow:
         return self.blocking_noc_cycles + self.blocking_dram_cycles
 
     @property
-    def overlap_cycles(self) -> int:
-        """The compute/prefetch overlap window after the stall."""
-        return self.round_cycles - self.stall_cycles
-
-    @property
     def end(self) -> int:
         return self.start + self.round_cycles
 

@@ -17,7 +17,6 @@ import numpy as np
 from repro.analysis import check_dag
 from repro.analysis.selfcheck import with_edges
 from repro.atoms.dag import csr_rows, row_owners
-from repro.ir import TensorShape
 
 from tests.analysis.conftest import build_tiny_dag, corrupted
 
@@ -152,23 +151,17 @@ class TestAD105BatchIsomorphism:
         assert fired(dag) == {"AD105"}
 
 
-class _HalfCoverageGrid:
-    """A grid whose regions leave part of the output uncovered."""
-
-    def __init__(self, real_grid):
-        self._real = real_grid
-        self.shape = real_grid.shape
-        self.tile = real_grid.tile
-        self.num_tiles = real_grid.num_tiles
-
-    def regions(self):
-        return self._real.regions()[:-1]
-
-
 class TestAD106Coverage:
     def test_uncovered_output(self, tiny_dag):
-        dag = corrupted(tiny_dag)
-        layer = next(iter(dag.grids))
-        dag.grids[layer] = _HalfCoverageGrid(dag.grids[layer])
-        assert fired(dag) == {"AD106"}
-        assert isinstance(dag.grids[layer].shape, TensorShape)
+        """One atom's region loses its last output channel."""
+        bounds = tiny_dag.atom_bounds.copy()
+        bounds[-1, 5] -= 1
+        assert fired(replace(tiny_dag, atom_bounds=bounds)) == {"AD106"}
+
+    def test_overcovered_output(self):
+        """Every layer's first atom, in both samples, grows one row into
+        its neighbour's."""
+        dag = build_tiny_dag(batch=2)
+        bounds = dag.atom_bounds.copy()
+        bounds[dag.atom_tile == 0, 1] += 1
+        assert fired(replace(dag, atom_bounds=bounds)) == {"AD106"}

@@ -8,15 +8,15 @@ import json
 import pytest
 
 from repro.analysis.service_rules import check_store
-from repro.serialize import FORMAT, VERSION
+from repro.fingerprint import SOLUTION_FORMAT, SOLUTION_VERSION
 from repro.service.store import SolutionStore
 
 FP = "ab" * 32
 
 #: The smallest document the store's shape check accepts.
 DOC = {
-    "format": FORMAT,
-    "version": VERSION,
+    "format": SOLUTION_FORMAT,
+    "version": SOLUTION_VERSION,
     "workload": "tiny",
     "dataflow": "kc",
     "batch": 1,

@@ -5,6 +5,7 @@ change wall-clock behaviour but never results."""
 
 import itertools
 import json
+from dataclasses import replace
 
 import pytest
 
@@ -40,6 +41,20 @@ def decisions(outcome):
         (t.label, t.fingerprint, t.accepted, t.reason, t.total_cycles)
         for t in outcome.traces
     ]
+
+
+@pytest.fixture(scope="module")
+def default_hbm_journal(tmp_path_factory):
+    """A vgg19_bench restart search on a 2x2 default-HBM mesh, journaled:
+    ``(journal path, arch, options)``."""
+    path = tmp_path_factory.mktemp("journal") / "ck.jsonl"
+    arch = ArchConfig(mesh_rows=2, mesh_cols=2)
+    options = OptimizerOptions(
+        restarts=2, seed=0, sa_params=SAParams(max_iterations=10),
+        checkpoint=str(path),
+    )
+    AtomicDataflowOptimizer(get_model("vgg19_bench"), arch, options).optimize()
+    return path, arch, options
 
 
 @pytest.fixture(scope="module")
@@ -267,6 +282,35 @@ class TestCheckpointResume:
                 "vgg19_bench", arch, jobs=1, checkpoint=path, resume=True,
                 seed=12,
             )
+
+    @pytest.mark.parametrize(
+        "hbm_scale, temperature_scale",
+        [(1 / 16, 1.0), (1.0, 2.0)],
+        ids=["hbm-bandwidth", "sa-temperature"],
+    )
+    def test_resume_refuses_any_other_request(
+        self, default_hbm_journal, hbm_scale, temperature_scale
+    ):
+        """The journal key is the request fingerprint, so a resume under
+        any other architecture field or annealing parameter is refused
+        instead of trusting results priced on another machine."""
+        path, arch, options = default_hbm_journal
+        hbm = replace(
+            arch.hbm,
+            peak_bandwidth_bytes_per_s=arch.hbm.peak_bandwidth_bytes_per_s
+            * hbm_scale,
+        )
+        sa = replace(
+            options.sa_params,
+            temperature=options.sa_params.temperature * temperature_scale,
+        )
+        optimizer = AtomicDataflowOptimizer(
+            get_model("vgg19_bench"),
+            replace(arch, hbm=hbm),
+            replace(options, sa_params=sa, resume=True),
+        )
+        with pytest.raises(CheckpointError, match="different search"):
+            optimizer.optimize()
 
     @staticmethod
     def _resume_tampered(arch, baseline_vgg, tmp_path, tamper):

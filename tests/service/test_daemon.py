@@ -11,7 +11,8 @@ import pytest
 
 from repro.framework import AtomicDataflowOptimizer, OptimizerOptions
 from repro.obs import get_registry
-from repro.serialize import canonical_solution_bytes, solution_to_dict
+from repro.fingerprint import canonical_solution_bytes
+from repro.serialize import solution_to_dict
 from repro.service import (
     AdmissionError,
     CompileRequest,

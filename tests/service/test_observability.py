@@ -23,7 +23,7 @@ from repro.obs import disable_tracing, enable_tracing, get_registry
 from repro.obs.prom import parse_prometheus
 from repro.obs.tracer import SpanRecord
 from repro.service import MetricsHTTPServer, read_events
-from repro.service.daemon import LATENCY_PREFIX
+from repro.service.client import LATENCY_PREFIX
 from repro.service.jobs import JOB_FORMAT, JobJournal, JobRecord
 from repro.service.metrics_http import PROM_CONTENT_TYPE
 

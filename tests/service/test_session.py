@@ -50,7 +50,7 @@ class TestCompileSession:
         graph = get_model("mobilenet_v2_bench")
         manager = SessionManager(capacity=2)
         try:
-            session = manager.get(graph, arch, fast_options)
+            session = manager.acquire(graph, arch, fast_options)
             first = session.optimize(fast_options)
             second = session.optimize(fast_options)  # warm ctx + pool
             cold = AtomicDataflowOptimizer(graph, arch, fast_options).optimize()
@@ -69,7 +69,7 @@ class TestCompileSession:
         graph = get_model("mobilenet_v2_bench")
         manager = SessionManager(capacity=2)
         try:
-            session = manager.get(graph, arch, fast_options)
+            session = manager.acquire(graph, arch, fast_options)
             inline = session.optimize(fast_options)
             parallel = session.optimize(replace(fast_options, jobs=2))
             again = session.optimize(replace(fast_options, jobs=2))
@@ -81,7 +81,7 @@ class TestCompileSession:
         graph = get_model("mobilenet_v2_bench")
         manager = SessionManager(capacity=2)
         try:
-            session = manager.get(graph, arch, fast_options)
+            session = manager.acquire(graph, arch, fast_options)
             with pytest.raises(ValueError, match="warm for"):
                 session.optimize(replace(fast_options, batch=2))
         finally:
@@ -102,9 +102,9 @@ class TestSessionManager:
         graph = get_model("mobilenet_v2_bench")
         manager = SessionManager(capacity=2)
         try:
-            assert manager.get(graph, arch, fast_options) is manager.get(
-                graph, arch, fast_options
-            )
+            session = manager.acquire(graph, arch, fast_options)
+            manager.release(session)
+            assert manager.acquire(graph, arch, fast_options) is session
             assert len(manager) == 1
         finally:
             manager.close()
@@ -114,8 +114,9 @@ class TestSessionManager:
         try:
             g1 = get_model("mobilenet_v2_bench")
             g2 = get_model("vgg19_bench")
-            s1 = manager.get(g1, arch, fast_options)
-            manager.get(g2, arch, fast_options)  # evicts s1
+            s1 = manager.acquire(g1, arch, fast_options)
+            manager.release(s1)
+            manager.acquire(g2, arch, fast_options)  # evicts the idle s1
             assert len(manager) == 1
             with pytest.raises(RuntimeError):
                 s1.optimize(fast_options)

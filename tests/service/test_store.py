@@ -11,7 +11,8 @@ from repro.fingerprint import request_fingerprint
 from repro.framework import AtomicDataflowOptimizer
 from repro.models import get_model
 from repro.obs import get_registry
-from repro.serialize import canonical_solution_bytes, solution_to_dict
+from repro.fingerprint import canonical_solution_bytes
+from repro.serialize import solution_to_dict
 from repro.service import SolutionStore
 from repro.service.store import StoreError, check_solution_document
 

@@ -298,7 +298,8 @@ class TestArrayWalks:
 
         from repro.framework import OptimizationOutcome
         from repro.pipeline import solution_record
-        from repro.serialize import canonical_solution_bytes, solution_to_dict
+        from repro.fingerprint import canonical_solution_bytes
+        from repro.serialize import solution_to_dict
 
         outcome = OptimizationOutcome(
             result=solution.result,

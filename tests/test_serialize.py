@@ -6,19 +6,17 @@ import pytest
 
 from repro.atoms.generation import SAParams
 from repro.config import ArchConfig, EngineConfig
+from repro.fingerprint import SOLUTION_FORMAT
 from repro.framework import AtomicDataflowOptimizer, OptimizerOptions
 from repro.models import vgg19
 from repro.pipeline import CandidateTrace
 from repro.serialize import (
-    FORMAT,
     TRACE_FORMAT,
     load_search_trace,
     load_solution,
     save_search_trace,
     save_solution,
     solution_to_dict,
-    trace_from_dict,
-    trace_to_dict,
 )
 from repro.sim import SystemSimulator
 
@@ -41,7 +39,7 @@ class TestRoundTrip:
     def test_document_shape(self, solution):
         _, _, outcome = solution
         doc = solution_to_dict(outcome, "kc")
-        assert doc["format"] == FORMAT
+        assert doc["format"] == SOLUTION_FORMAT
         assert doc["batch"] == 1
         assert len(doc["rounds"]) == outcome.schedule.num_rounds
         assert len(doc["placement"]) == outcome.dag.num_atoms
@@ -130,11 +128,11 @@ class TestTraceRoundTrip:
         _, _, outcome = solution
         assert outcome.traces
         for trace in outcome.traces:
-            assert trace_from_dict(trace_to_dict(trace)) == trace
+            assert CandidateTrace.from_dict(trace.to_dict()) == trace
 
     def test_malformed_trace_rejected(self):
         with pytest.raises(ValueError):
-            trace_from_dict({"label": "sa[0]"})
+            CandidateTrace.from_dict({"label": "sa[0]"})
 
     def test_solution_document_carries_search(self, solution):
         graph, arch, outcome = solution

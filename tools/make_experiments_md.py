@@ -6,8 +6,9 @@ Run after ``pytest benchmarks/ --benchmark-only``:
 
 Some prose is computed from the rows of the table beside it: the
 Fig. 2 mean, the Fig. 8 geo-means, the Fig. 9 counts, and every range,
-count and verdict of Fig. 10 and Table II (``span``, ``versus``); the
-rest is literal text.  :func:`render` returns the document and
+count, ordering and verdict of Fig. 8, Fig. 10, Fig. 14 and Table II
+(``span``, ``versus``, ``below_one``, ``ranking``); the rest is literal
+text.  :func:`render` returns the document and
 :func:`main` writes it.
 """
 
@@ -62,6 +63,33 @@ def versus(values, lo: float, hi: float) -> str:
     if high > hi:
         return "reaching above the paper's range"
     return "inside the paper's range"
+
+
+def below_one(rows, columns) -> list[str]:
+    """``name value on `model``` for every ``(name, key)`` ratio column
+    of every row that falls below 1x."""
+    return [
+        f"{name} {r[key]:.3f}x on `{r['model']}`"
+        for r in rows
+        for name, key in columns
+        if r[key] < 1
+    ]
+
+
+def ranking(rows, columns) -> str:
+    """The ``(name, key)`` columns ordered by value per row, as ``A > B``;
+    rows that agree share one clause."""
+    orders: dict[str, list[str]] = {}
+    for r in rows:
+        ranked = sorted(columns, key=lambda column: -r[column[1]])
+        orders.setdefault(" > ".join(name for name, _ in ranked), []).append(
+            f"`{r['model']}`"
+        )
+    if len(orders) == 1:
+        return f"{next(iter(orders))} on every workload"
+    return "; ".join(
+        f"{order} on {', '.join(models)}" for order, models in orders.items()
+    )
 
 
 def render() -> str:
@@ -142,10 +170,17 @@ def render() -> str:
         ))
         gm_ls = gmean([r["speedup_vs_ls"] for r in rows])
         gm_ilp = gmean([r["speedup_vs_ilp"] for r in rows])
+        losses = below_one(
+            rows, [("AD/LS", "speedup_vs_ls"), ("AD/IL-Pipe", "speedup_vs_ilp")]
+        )
         w(f"\nGeo-mean speedups: {gm_ls:.2f}x over LS/CNN-P (paper: "
           f"1.45-2.30x) and {gm_ilp:.2f}x over IL-Pipe (paper: "
-          f"1.42-3.78x).  AD never loses; IL-Pipe's fill/drain dominates "
-          f"at batch 1 exactly as the paper argues.\n")
+          f"1.42-3.78x).  "
+          + (f"AD loses where a speedup falls below 1x: {'; '.join(losses)} "
+             "(paper: AD never loses).\n"
+             if losses else
+             "AD never loses; IL-Pipe's fill/drain dominates at batch 1 "
+             "exactly as the paper argues.\n"))
 
     # -------------------------------------------------------------- Fig. 9
     rows = load("fig09_throughput_kc")
@@ -180,12 +215,7 @@ def render() -> str:
     sa_leads = sum(
         r["sa_gain"] > max(r["dp_gain"], r["map_gain"]) for r in rows
     )
-    losses = [
-        f"{name} {r[key]:.3f}x on `{r['model']}`"
-        for r in rows
-        for name, key in stages
-        if r[key] < 1
-    ]
+    losses = below_one(rows, stages)
     w("\nPaper attributes 1.06-1.21x to SA, 1.17-1.42x to DP, 1.07-1.17x "
       f"to reuse.  Measured: {measured}.  SA is the largest factor on "
       f"{sa_leads}/{len(rows)} workloads (our LS split is spatial-first "
@@ -269,10 +299,16 @@ def render() -> str:
         [[r["model"], r["ls_fps"], r["rammer_fps"], r["ad_fps"],
           r["ad_over_ls"], r["paper_ad_over_ls"]] for r in rows],
     ))
+    order = ranking(
+        rows, [("AD", "ad_fps"), ("Rammer", "rammer_fps"), ("LS", "ls_fps")]
+    )
+    ratios = [r["ad_over_ls"] for r in rows]
+    paper = [r["paper_ad_over_ls"] for r in rows]
     w("\nThe physical prototype is substituted by simulating its exact "
       "configuration (2x2 engines, 32x32 MACs, 600 MHz — DESIGN.md §2).  "
-      "Shape reproduced: AD > Rammer >= LS, with AD/LS factors of the "
-      "same moderate magnitude as the paper's measured 1.31x/1.43x.\n")
+      f"Measured order: {order} (paper: AD > Rammer >= LS).  AD/LS reads "
+      f"{span(ratios, '.2f')}x against the paper's measured "
+      f"{span(paper, '.2f')}x, {versus(ratios, min(paper), max(paper))}.\n")
 
     # ------------------------------------------------------------ extension
     rows = load("ext_flexible_dataflow")
